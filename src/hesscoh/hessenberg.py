@@ -12,7 +12,6 @@ flag for the regular nilpotent matrix N with N e_1 = 0, N e_m = e_{m-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import InvalidHessenbergError, ResourceLimitError
 
@@ -127,20 +126,40 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
     """Permutations w with the flag (e_w(1), ..., e_w(n)) fixed in Hess(h).
 
     Criterion: for every j with w(j) >= 2, the position of w(j) - 1 in w
-    is at most h(j).  Results come back in lexicographic order.
+    is at most h(j).  Built by backtracking: positions are filled left to
+    right, each with the unused values in increasing order, so results
+    come back in lexicographic order.  Placing v at position j can only
+    break the criterion for v + 1 (for v - 1, placed earlier, it holds
+    because j <= h(j)), so that is the one pair checked.
     """
     n = h.n
     if n > cap:
         raise ResourceLimitError(
-            f"scanning all {n}! permutations for n = {n} exceeds the cap {cap}"
+            f"fixed points for n = {n} (up to {n}! flags) exceed the cap {cap}"
         )
-    values = h.values
-    out = []
-    for w in permutations(range(1, n + 1)):
-        position = {v: i for i, v in enumerate(w, start=1)}
-        if all(v < 2 or position[v - 1] <= values[j] for j, v in enumerate(w)):
-            out.append(w)
+    out: list[Permutation] = []
+    _place_fixed(h.values, [0] * (n + 2), [], out)
     return out
+
+
+def _place_fixed(values, position, w, out) -> None:
+    """Extend the prefix w in every admissible way; position[v] is the
+    1-based position of value v in w, 0 while v is unplaced.  Not a nested
+    closure: a self-recursive closure is a reference cycle, which keeps
+    every result alive until the cyclic collector runs."""
+    j = len(w) + 1
+    if j > len(values):
+        out.append(tuple(w))
+        return
+    for v in range(1, len(values) + 1):
+        q = position[v + 1]
+        if position[v] or (q and j > values[q - 1]):
+            continue
+        position[v] = j
+        w.append(v)
+        _place_fixed(values, position, w, out)
+        w.pop()
+        position[v] = 0
 
 
 def oracle_fixed_point_check(w: Permutation, h: HessenbergFunction) -> bool:

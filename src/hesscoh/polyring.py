@@ -225,37 +225,6 @@ class Polynomial:
             return self
 
         width = n + 1
-        images = _term_images(assigns, width)
-        if images is not None:
-            # every assigned value is 0 or a single term: accumulate directly
-            out: dict[Monomial, Fraction] = {}
-            for exps, coef in self._terms.items():
-                target = [0] * width
-                c = coef
-                dead = False
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    img = images[i]
-                    if img is None:
-                        dead = True
-                        break
-                    mexps, mcoef = img
-                    for pos, me in enumerate(mexps):
-                        if me:
-                            target[pos] += me * e
-                    if mcoef != 1:
-                        c *= mcoef ** e
-                if dead:
-                    continue
-                key = tuple(target)
-                c = out.get(key, _ZERO) + c
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-            return Polynomial._raw(n, out)
-
         power_cache: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
 
         def var_power(i: int, e: int) -> dict[Monomial, Fraction]:
@@ -356,30 +325,6 @@ def _as_polynomial(value, n: int) -> Polynomial:
             raise DimensionMismatchError(f"substituted value lives in n={value.n}, expected n={n}")
         return value
     return constant(value, n)
-
-
-def _term_images(assigns: dict[int, Polynomial], width: int):
-    """Per-variable images when all assigned values have at most one term.
-
-    Returns a list indexed by variable: (exponents, coefficient) for a
-    single-term image, None for an image of zero.  Returns None overall
-    if some assigned value has two or more terms (generic path needed).
-    """
-    images: list[tuple[Monomial, Fraction] | None] = []
-    for i in range(width):
-        a = assigns.get(i)
-        if a is None:
-            exps = [0] * width
-            exps[i] = 1
-            images.append((tuple(exps), _ONE))
-        elif not a._terms:
-            images.append(None)
-        elif len(a._terms) == 1:
-            ((exps, coef),) = a._terms.items()
-            images.append((exps, coef))
-        else:
-            return None
-    return images
 
 
 def _monomial_text(exps: Monomial, n: int) -> str:

@@ -22,6 +22,7 @@ from functools import wraps
 from itertools import combinations, permutations
 from math import factorial, prod
 
+from .errors import ResourceLimitError
 from .generators import (
     f_closed,
     f_inductive,
@@ -41,6 +42,7 @@ from .groebner import (
     standard_monomials,
 )
 from .hessenberg import (
+    DEFAULT_PERMUTATION_CAP,
     HessenbergFunction,
     enumerate_all,
     fixed_points,
@@ -230,40 +232,69 @@ def check_t_zero(n_max: int) -> list[CheckResult]:
     return [check_t_zero_at(n) for n in range(1, n_max + 1)]
 
 
-def _vanishing_witness(h: HessenbergFunction, w, generators) -> dict | None:
-    """First generator not killed by x_k -> w(k) t, or None if all vanish."""
-    n = h.n
-    t = t_var(n)
-    assignment = {k: w[k - 1] * t for k in range(1, n + 1)}
-    for j, g in enumerate(generators, start=1):
-        image = g.substitute(x=assignment)
-        if not image.is_zero():
-            return {"w": list(w), "j": j, "residue": poly_to_dict(image)}
+def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]:
+    """Each generator as (weight d, [(c, x indices), ...]), one term per
+    entry, with each 0-based x index repeated as often as its exponent.
+    Bytes, not tuples: freed small tuples stay on CPython's free lists,
+    which raised the peak RSS of a sweep by ~0.4 MB.
+
+    A homogeneous generator g of weight d maps under x_k -> w(k) t to
+    g(w(1), ..., w(n), 1) t^d, so with integer coefficients its image is
+    integer arithmetic on these term lists.  Any other generator is
+    refused with ValueError.
+    """
+    out = []
+    for g in generators:
+        if not g.is_homogeneous():
+            raise ValueError(f"generator {g} is not homogeneous")
+        terms = []
+        for exps, c in g.terms.items():
+            if c.denominator != 1:
+                raise ValueError(f"generator {g} has the non-integer coefficient {c}")
+            terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
+        out.append((g.total_degree(), terms))
+    return out
+
+
+def _vanishing_witness(h: HessenbergFunction, w, integer_generators) -> dict | None:
+    """First of the _integer_generators not killed by x_k -> w(k) t, or None."""
+    for j, (weight, terms) in enumerate(integer_generators, start=1):
+        c = 0
+        for coef, indices in terms:
+            for i in indices:
+                coef *= w[i]
+            c += coef
+        if c:
+            return {"w": list(w), "j": j, "residue": poly_to_dict(c * t_var(h.n) ** weight)}
     return None
 
 
 @_timed
 def check_localization_vanishing(h: HessenbergFunction) -> CheckResult:
-    """Every generator of I(h) dies at every S^1-fixed point of Hess(h)."""
-    gens = ideal_generators(h, "equivariant").generators
+    """Every generator of I(h) dies at every S^1-fixed point of Hess(h), and
+    there are prod_j (h(j) - j + 1) of them: the Euler characteristic,
+    by Tymoczko's affine paving, i.e. the Poincare polynomial at q = 1."""
+    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     points = fixed_points(h)
+    scope = {"h": list(h.values), "n": h.n}
+    expected = sum(poincare_product(h))
+    if len(points) != expected:
+        return CheckResult(
+            name="localization", scope=scope, passed=False,
+            witness={"part": "fixed-point-count", "expected": expected, "count": len(points)},
+        )
     for w in points:
         witness = _vanishing_witness(h, w, gens)
         if witness is not None:
-            return CheckResult(
-                name="localization",
-                scope={"h": list(h.values), "n": h.n}, passed=False, witness=witness,
-            )
-    return CheckResult(
-        name="localization",
-        scope={"h": list(h.values), "n": h.n, "fixedPoints": len(points)}, passed=True,
-    )
+            return CheckResult(name="localization", scope=scope, passed=False, witness=witness)
+    scope["fixedPoints"] = len(points)
+    return CheckResult(name="localization", scope=scope, passed=True)
 
 
 @_timed
 def check_fixed_point_exactness(h: HessenbergFunction) -> CheckResult:
     """w kills all generators of I(h)  <=>  w is a fixed point of Hess(h)."""
-    gens = ideal_generators(h, "equivariant").generators
+    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     fixed = set(fixed_points(h))
     n = h.n
     for w in permutations(range(1, n + 1)):
@@ -513,13 +544,13 @@ def _control_t_zero():
 
 def _control_localization():
     h = HessenbergFunction((2, 3, 3))
-    gens = ideal_generators(h, "equivariant").generators
+    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     return _vanishing_witness(h, (2, 3, 1), gens)  # 231 is not a fixed point
 
 
 def _control_exactness():
     h = HessenbergFunction((2, 3, 3))
-    gens = ideal_generators(h, "equivariant").generators
+    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     tampered = set(fixed_points(h)) | {(2, 3, 1)}
     for w in sorted(tampered):
         witness = _vanishing_witness(h, w, gens)
@@ -590,6 +621,16 @@ def negative_controls() -> list[CheckResult]:
 # -- suite driver ----------------------------------------------------------
 
 
+def _permutation_sweep(name: str, n_top: int) -> list[tuple]:
+    """One task per h with n <= n_top, refused up front past the permutation
+    cap that fixed_points would hit only once the sweep reaches it."""
+    if n_top > DEFAULT_PERMUTATION_CAP:
+        raise ResourceLimitError(
+            f"the {name} sweep to n = {n_top} exceeds the cap {DEFAULT_PERMUTATION_CAP}"
+        )
+    return [(name, (h.values,)) for n in range(1, n_top + 1) for h in enumerate_all(n)]
+
+
 def _expand_tasks(names, n_max, groebner_n_max, pair_budget, cache_dir) -> list[tuple]:
     sym = lambda default: n_max if n_max is not None else default
     gcap = groebner_n_max if groebner_n_max is not None else GROEBNER_CAP
@@ -603,11 +644,9 @@ def _expand_tasks(names, n_max, groebner_n_max, pair_budget, cache_dir) -> list[
         elif name == "t-zero":
             tasks += [("t-zero", (n,)) for n in range(1, sym(SYMBOLIC_CAP) + 1)]
         elif name == "localization":
-            for n in range(1, sym(SYMBOLIC_CAP) + 1):
-                tasks += [("localization", (h.values,)) for h in enumerate_all(n)]
+            tasks += _permutation_sweep(name, sym(SYMBOLIC_CAP))
         elif name == "fixed-point-exactness":
-            for n in range(1, sym(EXACTNESS_CAP) + 1):
-                tasks += [("fixed-point-exactness", (h.values,)) for h in enumerate_all(n)]
+            tasks += _permutation_sweep(name, sym(EXACTNESS_CAP))
         elif name == "peterson":
             tasks += [("peterson", (n, pair_budget, cache)) for n in range(2, gcap + 1)]
         elif name == "flag-borel":

@@ -231,6 +231,13 @@ def test_verify_failure_exit_code(monkeypatch):
     assert "FAIL demo" in out
 
 
+def test_verify_refuses_oversized_sweep_up_front():
+    for suite in ("localization", "fixed-point-exactness"):
+        code, out, err = run_main(["verify", "--suite", suite, "--n-max", "8"])
+        assert code == 2 and out == ""
+        assert err.startswith("resource cap:")
+
+
 def test_verify_json_no_timing_is_reproducible():
     argv = ["verify", "--suite", "example-n4,closed-form", "--n-max", "3",
             "--format", "json", "--no-timing"]

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 
-from hesscoh.hessenberg import parse_hessenberg
+import hesscoh.verify as verify_module
+from hesscoh.generators import ideal_generators
+from hesscoh.hessenberg import enumerate_all, fixed_points, parse_hessenberg
+from hesscoh.polyring import poly_to_dict, t_var, x_var
 from hesscoh.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -18,6 +24,8 @@ from hesscoh.verify import (
     check_localization_vanishing,
     check_peterson,
     check_t_zero_at,
+    _integer_generators,
+    _vanishing_witness,
     negative_controls,
     poincare_product,
     run_suite,
@@ -49,6 +57,46 @@ def test_localization_check():
     assert result.passed
     assert result.scope["fixedPoints"] == 4
     assert result.scope["h"] == [2, 3, 3]
+
+
+def test_localization_asserts_fixed_point_count(monkeypatch):
+    h = parse_hessenberg((2, 3, 3))
+    monkeypatch.setattr(verify_module, "fixed_points", lambda h: fixed_points(h)[1:])
+    result = check_localization_vanishing(h)
+    assert not result.passed
+    assert result.scope == {"h": [2, 3, 3], "n": 3}
+    assert result.witness == {"part": "fixed-point-count", "expected": 4, "count": 3}
+
+
+def _substitute_witness(h, w, generators):
+    """Reference: the Fraction substitution route the integer one replaced."""
+    t = t_var(h.n)
+    assignment = {k: w[k - 1] * t for k in range(1, h.n + 1)}
+    for j, g in enumerate(generators, start=1):
+        image = g.substitute(x=assignment)
+        if not image.is_zero():
+            return {"w": list(w), "j": j, "residue": poly_to_dict(image)}
+    return None
+
+
+def test_vanishing_witness_matches_substitution():
+    for n in range(1, 5):
+        for h in enumerate_all(n):
+            gens = ideal_generators(h, "equivariant").generators
+            integer = _integer_generators(gens)
+            for w in permutations(range(1, n + 1)):
+                assert _vanishing_witness(h, w, integer) == _substitute_witness(h, w, gens)
+
+
+def test_integer_generators_refuse_what_they_cannot_evaluate():
+    x1, t = x_var(1, 2), t_var(2)
+    assert _integer_generators([x1 * x1 - 3 * x1 * t]) == [
+        (2, [(1, b"\x00\x00"), (-3, b"\x00")]),
+    ]
+    with pytest.raises(ValueError, match="not homogeneous"):
+        _integer_generators([x1 * x1 - t])
+    with pytest.raises(ValueError, match="non-integer"):
+        _integer_generators([x1 * Fraction(1, 2)])
 
 
 def test_exactness_check():
