@@ -6,7 +6,8 @@ sense (present, generators).  All degrees in user-facing output use the
 cohomological convention, i.e. twice the internal weight.
 
 Exit codes: 0 success, 1 verification failure, 2 resource cap hit,
-64 usage error.
+64 usage error, 74 I/O error (an --out file or a cache entry could not
+be written).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
+EXIT_IO = 74  # sysexits EX_IOERR
 
 SCHEMA_VERSION = 1
 
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except OSError as exc:
+        sys.stderr.write(f"I/O error: {exc}\n")
+        return EXIT_IO
 
 
 if __name__ == "__main__":

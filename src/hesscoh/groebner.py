@@ -7,6 +7,20 @@ product and chain criteria, full inter-reduction to the unique reduced
 monic basis, and a pivot recursion on the leading-term ideal for the
 Hilbert series.
 
+Every division (S-pair reduction, inter-reduction, normal_form) runs
+through one routine, _reduce.  It keeps the pending monomials in a heap,
+each keyed once when it enters (MonomialOrder.heap_key), so the largest
+pending term is popped rather than searched for.  It works over Z:
+reducers are primitive integer polynomials with a positive leading
+coefficient, and a step scales the working polynomial by lc/gcd instead
+of dividing.  Each intermediate is then a nonzero scalar multiple of
+its textbook Fraction counterpart, so leading monomials, pair order,
+criteria and counters are the same.  buchberger keeps the reducers
+(leading monomial, leading coefficient, tail) in a table that grows
+with the basis.  Monic Fraction polynomials come back only in
+_reduce_basis, which returns the reduced basis; normal_form divides the
+integer remainder by the scale it applied.
+
 Monomial orders act on the dense exponent tuples of polyring.  The
 default is degrevlex with x_1 > ... > x_n > t; an explicit variable
 priority (a permutation of 0..n, highest first, with n meaning t) can
@@ -19,11 +33,14 @@ t slot of the exponent tuples is inert in the first case.
 
 from __future__ import annotations
 
-import heapq
-import json
 import hashlib
-from dataclasses import dataclass, field
+import json
+import os
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +50,8 @@ from .polyring import Monomial, Polynomial, poly_from_dict, poly_to_dict
 DEFAULT_PAIR_BUDGET = 200_000
 
 ORDER_KINDS = ("degrevlex", "deglex", "lex")
+
+CACHE_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -56,20 +75,35 @@ class MonomialOrder:
                 raise ValueError(f"priority must be a permutation of 0..{len(pr) - 1}, got {pr}")
             object.__setattr__(self, "priority", pr)
 
+    def _by_priority(self, exponents: Monomial) -> Monomial:
+        if self.priority is None:
+            return exponents
+        if len(self.priority) != len(exponents):
+            raise ValueError(
+                f"priority covers {len(self.priority)} variables, monomial has {len(exponents)}"
+            )
+        return tuple(exponents[i] for i in self.priority)
+
     def key(self, exponents: Monomial) -> tuple:
         """Sort key; larger key = larger monomial."""
-        e = exponents
-        if self.priority is not None:
-            if len(self.priority) != len(e):
-                raise ValueError(
-                    f"priority covers {len(self.priority)} variables, monomial has {len(e)}"
-                )
-            e = tuple(exponents[i] for i in self.priority)
+        e = self._by_priority(exponents)
         if self.kind == "degrevlex":
             return (sum(e), tuple(-v for v in reversed(e)))
         if self.kind == "deglex":
             return (sum(e), e)
         return e  # lex
+
+    def heap_key(self, exponents: Monomial) -> tuple:
+        """Ascending sort key; smaller key = larger monomial.
+
+        A min-heap on it pops the largest monomial first.
+        """
+        e = self._by_priority(exponents)
+        if self.kind == "degrevlex":
+            return (-sum(e), *reversed(e))
+        if self.kind == "deglex":
+            return (-sum(e), *(-v for v in e))
+        return tuple(-v for v in e)  # lex
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
@@ -82,8 +116,16 @@ class MonomialOrder:
 
 @dataclass
 class GroebnerStats:
+    """What buchberger did.  Every processed pair is skipped by the
+    product or the chain criterion, reduces to zero, or adds one basis
+    element; reduction_steps counts reducer applications, inter-reduction
+    included."""
+
     pairs_processed: int = 0
     reductions_to_zero: int = 0
+    product_skips: int = 0
+    chain_skips: int = 0
+    reduction_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,15 +154,15 @@ def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Monomial, Fractio
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, zip(a, b)))
+    return tuple(map(max, a, b))
 
 
 def _quotient(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _common_n(polys: Sequence[Polynomial]) -> int:
@@ -128,6 +170,113 @@ def _common_n(polys: Sequence[Polynomial]) -> int:
     if len(ns) != 1:
         raise DimensionMismatchError(f"polynomials live in different rings: n in {sorted(ns)}")
     return ns.pop()
+
+
+# -- integer reduction core -------------------------------------------------
+#
+# An integer polynomial is a dict {monomial: nonzero int}.  A reducer is a
+# tuple (lt, lc, tail): leading monomial, positive leading coefficient,
+# and the other terms as an integer polynomial.
+
+
+def _integer_terms(p: Polynomial) -> tuple[dict[Monomial, int], int]:
+    """(d * p as an integer polynomial, d) for d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
+
+
+def _reducer(terms: dict[Monomial, int], lt: Monomial) -> tuple:
+    """The primitive reducer with leading monomial lt for a nonzero integer
+    polynomial: divided by its content, signed so that lc > 0."""
+    content = gcd(*terms.values())
+    if terms[lt] < 0:
+        content = -content
+    if content != 1:
+        terms = {e: c // content for e, c in terms.items()}
+    return lt, terms[lt], {e: c for e, c in terms.items() if e != lt}
+
+
+def _reducer_table(polys: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
+    return [_reducer(_integer_terms(p)[0], leading_term(p, order)[0]) for p in polys]
+
+
+def _reduce(work: dict[Monomial, int], table: Sequence[tuple],
+            order: MonomialOrder) -> tuple[dict, int, int]:
+    """Divide the integer polynomial `work` (consumed) by the reducers.
+
+    Returns (remainder, scale, steps): scale is a positive integer with
+    remainder = scale * (the textbook remainder of work), and steps
+    counts reducer applications.  No remainder term is divisible by a
+    leading monomial of the table.  Reducers are tried in table order,
+    so the result is deterministic.  Remainder terms are inserted
+    largest first, so the first key is the leading monomial.
+    """
+    heap_key = order.heap_key
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    remainder: dict[Monomial, int] = {}
+    scale = 1
+    steps = 0
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue  # stale entry: m cancelled after it was pushed
+        for lt, lc, tail in table:
+            if all(map(le, lt, m)):
+                break
+        else:
+            remainder[m] = c
+            continue
+        steps += 1
+        g = gcd(c, lc)
+        factor, q = lc // g, c // g
+        if factor != 1:
+            scale *= factor
+            for e in work:
+                work[e] *= factor
+            for e in remainder:
+                remainder[e] *= factor
+        shift = tuple(map(sub, m, lt))
+        for e, ce in tail.items():
+            target = tuple(map(add, shift, e))
+            value = work.get(target)
+            if value is None:
+                work[target] = -q * ce
+                heappush(heap, (heap_key(target), target))
+            else:
+                value -= q * ce
+                if value:
+                    work[target] = value
+                else:
+                    del work[target]
+    return remainder, scale, steps
+
+
+def _normal_form(f: Polynomial, table: Sequence[tuple], order: MonomialOrder) -> Polynomial:
+    work, denominator = _integer_terms(f)
+    remainder, scale, _ = _reduce(work, table, order)
+    d = scale * denominator
+    return Polynomial._raw(f.n, {e: Fraction(c, d) for e, c in remainder.items()})
+
+
+def _s_terms(a: tuple, b: tuple) -> dict[Monomial, int]:
+    """Integer S-polynomial of two reducers, a positive multiple of the
+    S-polynomial of their monic forms."""
+    (la, ca, ta), (lb, cb, tb) = a, b
+    pair_lcm = _lcm(la, lb)
+    g = gcd(ca, cb)
+    work: dict[Monomial, int] = {}
+    for lt, tail, factor in ((la, ta, cb // g), (lb, tb, -(ca // g))):
+        shift = _quotient(pair_lcm, lt)
+        for e, c in tail.items():
+            target = tuple(map(add, shift, e))
+            value = work.get(target, 0) + factor * c
+            if value:
+                work[target] = value
+            else:
+                work.pop(target, None)
+    return work
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder | None = None) -> Polynomial:
@@ -142,30 +291,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     if not reducers:
         raise ValueError("normal_form needs a nonempty basis")
     _common_n([f, *reducers])
-    table = [(lt, c, b.terms) for b in reducers for (lt, c) in [leading_term(b, order)]]
-    key = order.key
-    work = dict(f.terms)
-    remainder: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lt, lc, terms in table:
-            if _divides(lt, m):
-                shift = _quotient(m, lt)
-                scale = c / lc
-                for e, ce in terms.items():
-                    if e == lt:
-                        continue
-                    target = tuple(a + b for a, b in zip(shift, e))
-                    value = work.get(target, 0) - scale * ce
-                    if value:
-                        work[target] = value
-                    else:
-                        work.pop(target, None)
-                break
-        else:
-            remainder[m] = c
-    return Polynomial._raw(f.n, remainder)
+    return _normal_form(f, _reducer_table(reducers, order), order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -181,11 +307,6 @@ def _shift(p: Polynomial, exps: Monomial, scale: Fraction) -> Polynomial:
         p.n,
         {tuple(a + b for a, b in zip(e, exps)): c * scale for e, c in p.terms.items()},
     )
-
-
-def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, c = leading_term(p, order)
-    return p if c == 1 else p * (1 / c)
 
 
 def buchberger(
@@ -218,62 +339,60 @@ def buchberger(
         if cached is not None:
             return cached
 
-    basis: list[Polynomial] = []
-    lts: list[tuple[Monomial, Fraction]] = []
-    for g in gens:
-        if not g.is_zero():
-            g = _monic(g, order)
-            if g not in basis:
-                basis.append(g)
-                lts.append(leading_term(g, order))
+    # table[k] is the primitive integer reducer of the k-th basis element
+    table: list[tuple] = []
+    for reducer in _reducer_table([g for g in gens if not g.is_zero()], order):
+        if reducer not in table:
+            table.append(reducer)
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
         for i in range(j):
-            lcm = _lcm(lts[i][0], lts[j][0])
-            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
+            lcm = _lcm(table[i][0], table[j][0])
+            heappush(heap, (sum(lcm), order.key(lcm), i, j))
             pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(table)):
         push_pairs(j)
 
     stats = GroebnerStats()
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j = heappop(heap)
         pending.discard((i, j))
         stats.pairs_processed += 1
         if stats.pairs_processed > pair_budget:
             raise ResourceLimitError(
                 f"S-pair budget of {pair_budget} exhausted; the computation is out of scale"
             )
-        li, lj = lts[i][0], lts[j][0]
-        lcm = _lcm(li, lj)
+        li, lj = table[i][0], table[j][0]
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue  # product criterion: coprime leading monomials
-        if _chain_criterion(i, j, lcm, lts, pending):
+            stats.product_skips += 1  # coprime leading monomials
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if remainder.is_zero():
+        if _chain_criterion(i, j, _lcm(li, lj), table, pending):
+            stats.chain_skips += 1
+            continue
+        remainder, _, steps = _reduce(_s_terms(table[i], table[j]), table, order)
+        stats.reduction_steps += steps
+        if not remainder:
             stats.reductions_to_zero += 1
             continue
-        basis.append(_monic(remainder, order))
-        lts.append(leading_term(basis[-1], order))
-        push_pairs(len(basis) - 1)
+        table.append(_reducer(remainder, next(iter(remainder))))
+        push_pairs(len(table) - 1)
 
-    reduced = _reduce_basis(basis, order)
+    reduced = _reduce_basis(n, table, order, stats)
     result = GroebnerBasis(n=n, order=order, basis=tuple(reduced), stats=stats)
     if cache_path is not None:
         _cache_store(cache_path, result)
     return result
 
 
-def _chain_criterion(i, j, lcm, lts, pending) -> bool:
-    for k in range(len(lts)):
+def _chain_criterion(i, j, lcm, table, pending) -> bool:
+    for k in range(len(table)):
         if k == i or k == j:
             continue
-        if _divides(lts[k][0], lcm):
+        if _divides(table[k][0], lcm):
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
             if pik not in pending and pjk not in pending:
@@ -281,24 +400,26 @@ def _chain_criterion(i, j, lcm, lts, pending) -> bool:
     return False
 
 
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Minimalize and inter-reduce; the reduced basis is unique."""
+def _reduce_basis(n: int, table: list[tuple], order: MonomialOrder,
+                  stats: GroebnerStats) -> list[Polynomial]:
+    """Minimalize and inter-reduce; the reduced basis is unique.
+
+    Returns monic Fraction polynomials, ascending by leading monomial.
+    """
     key = order.key
-    by_lt = sorted(basis, key=lambda g: key(leading_term(g, order)[0]))
-    minimal: list[Polynomial] = []
-    minimal_lts: list[Monomial] = []
-    for g in by_lt:
-        lt = leading_term(g, order)[0]
-        if not any(_divides(m, lt) for m in minimal_lts):
-            minimal.append(g)
-            minimal_lts.append(lt)
-    reduced = list(minimal)
-    for idx in range(len(reduced)):
-        others = reduced[:idx] + reduced[idx + 1:]
-        if others:
-            reduced[idx] = _monic(normal_form(reduced[idx], others, order), order)
-    reduced.sort(key=lambda g: key(leading_term(g, order)[0]))
-    return reduced
+    minimal: list[tuple] = []
+    for reducer in sorted(table, key=lambda r: key(r[0])):
+        if not any(_divides(kept[0], reducer[0]) for kept in minimal):
+            minimal.append(reducer)
+    for idx, (lt, lc, tail) in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1:]
+        remainder, _, steps = _reduce({lt: lc, **tail}, others, order)
+        stats.reduction_steps += steps
+        minimal[idx] = _reducer(remainder, lt)
+    return [
+        Polynomial._raw(n, {lt: Fraction(1), **{e: Fraction(c, lc) for e, c in tail.items()}})
+        for lt, lc, tail in minimal
+    ]
 
 
 def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -309,6 +430,33 @@ def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:
     return normal_form(f, gb.basis, gb.order).is_zero()
 
 
+def ideal_equality_witness(
+    gens_a: Sequence[Polynomial],
+    gens_b: Sequence[Polynomial],
+    order: MonomialOrder | None = None,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    cache_dir: str | Path | None = None,
+) -> dict | None:
+    """None if the two generating sets span the same ideal.
+
+    Otherwise the first generator that escapes the other side's ideal:
+    {"direction": "right-in-left" (a generator of gens_b outside the
+    ideal of gens_a) or "left-in-right", "generator": its 1-based index,
+    "normalForm": its normal form as poly_to_dict}.
+    """
+    order = order or MonomialOrder()
+    gb_a = buchberger(gens_a, order, pair_budget, cache_dir)
+    gb_b = buchberger(gens_b, order, pair_budget, cache_dir)
+    _common_n([*gens_a, *gens_b])
+    for label, gens, gb in (("right-in-left", gens_b, gb_a), ("left-in-right", gens_a, gb_b)):
+        table = _reducer_table(gb.basis, order)
+        for idx, g in enumerate(gens, start=1):
+            r = _normal_form(g, table, order)
+            if not r.is_zero():
+                return {"direction": label, "generator": idx, "normalForm": poly_to_dict(r)}
+    return None
+
+
 def ideal_equality(
     gens_a: Sequence[Polynomial],
     gens_b: Sequence[Polynomial],
@@ -317,12 +465,7 @@ def ideal_equality(
     cache_dir: str | Path | None = None,
 ) -> bool:
     """Whether the two generating sets span the same ideal."""
-    order = order or MonomialOrder()
-    gb_a = buchberger(gens_a, order, pair_budget, cache_dir)
-    gb_b = buchberger(gens_b, order, pair_budget, cache_dir)
-    return all(ideal_membership(g, gb_a) for g in gens_b) and all(
-        ideal_membership(g, gb_b) for g in gens_a
-    )
+    return ideal_equality_witness(gens_a, gens_b, order, pair_budget, cache_dir) is None
 
 
 # -- quotient invariants ---------------------------------------------------
@@ -517,7 +660,7 @@ def _trim(coeffs: list[int]) -> list[int]:
 def _cache_key(n: int, order: MonomialOrder, gens: list[Polynomial]) -> str:
     payload = json.dumps(
         {
-            "schemaVersion": 1,
+            "schemaVersion": CACHE_SCHEMA_VERSION,
             "n": n,
             "order": order.to_dict(),
             "generators": [poly_to_dict(g) for g in gens],
@@ -529,23 +672,37 @@ def _cache_key(n: int, order: MonomialOrder, gens: list[Polynomial]) -> str:
 
 
 def _cache_load(path: Path, n: int, order: MonomialOrder) -> GroebnerBasis | None:
+    """The cached basis, or None (a miss) for a missing or unreadable entry,
+    another schema version, or a basis polynomial from another ring.
+
+    The basis itself is not re-certified here.
+    """
     try:
         data = json.loads(path.read_text())
+        if data["schemaVersion"] != CACHE_SCHEMA_VERSION:
+            return None
         basis = tuple(poly_from_dict(d) for d in data["basis"])
         stats = GroebnerStats(**data["stats"])
     except (OSError, ValueError, KeyError, TypeError):
-        return None  # missing or unreadable entry: recompute
+        return None
+    if any(g.n != n for g in basis):
+        return None
     return GroebnerBasis(n=n, order=order, basis=basis, stats=stats)
 
 
 def _cache_store(path: Path, gb: GroebnerBasis) -> None:
+    """Write the entry through a temporary file in the same directory and
+    os.replace, so a reader never sees a partly written entry."""
     payload = {
-        "schemaVersion": 1,
+        "schemaVersion": CACHE_SCHEMA_VERSION,
         "basis": [poly_to_dict(g) for g in gb.basis],
-        "stats": {
-            "pairs_processed": gb.stats.pairs_processed,
-            "reductions_to_zero": gb.stats.reductions_to_zero,
-        },
+        "stats": asdict(gb.stats),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

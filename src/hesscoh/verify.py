@@ -37,8 +37,7 @@ from .groebner import (
     DEFAULT_PAIR_BUDGET,
     buchberger,
     hilbert_series,
-    ideal_equality,
-    normal_form,
+    ideal_equality_witness,
     standard_monomials,
 )
 from .hessenberg import (
@@ -328,18 +327,6 @@ def _peterson_presentation(n: int) -> list[Polynomial]:
     return gens
 
 
-def _equality_witness(gens_a, gens_b, pair_budget, cache_dir) -> dict | None:
-    """None if the ideals agree, else which generator escapes which side."""
-    gb_a = buchberger(gens_a, pair_budget=pair_budget, cache_dir=cache_dir)
-    gb_b = buchberger(gens_b, pair_budget=pair_budget, cache_dir=cache_dir)
-    for label, gens, gb in (("right-in-left", gens_b, gb_a), ("left-in-right", gens_a, gb_b)):
-        for idx, g in enumerate(gens, start=1):
-            r = normal_form(g, gb.basis, gb.order)
-            if not r.is_zero():
-                return {"direction": label, "generator": idx, "normalForm": poly_to_dict(r)}
-    return None
-
-
 @_timed
 def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET,
                    cache_dir=None) -> CheckResult:
@@ -369,7 +356,8 @@ def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET,
                          "difference": poly_to_dict(f_inductive(j + 1, j, n) - step)},
             )
     gens = ideal_generators(peterson_function(n), "equivariant").generators
-    witness = _equality_witness(list(gens), _peterson_presentation(n), pair_budget, cache_dir)
+    witness = ideal_equality_witness(list(gens), _peterson_presentation(n),
+                                     pair_budget=pair_budget, cache_dir=cache_dir)
     if witness is not None:
         witness["part"] = "ideal-equality"
         return CheckResult(name="peterson", scope=scope, passed=False, witness=witness)
@@ -425,7 +413,8 @@ def check_flag_borel(
         flag = flag_function(n)
         ordinary = list(ideal_generators(flag, "ordinary").generators)
         borel = [elementary_symmetric(i, range(1, n + 1), n) for i in range(1, n + 1)]
-        witness = _equality_witness(ordinary, borel, pair_budget, cache_dir)
+        witness = ideal_equality_witness(ordinary, borel,
+                                         pair_budget=pair_budget, cache_dir=cache_dir)
         if witness is not None:
             witness["part"] = "borel-equality"
             return CheckResult(name="flag-borel", scope=scope, passed=False, witness=witness)
@@ -442,7 +431,8 @@ def check_flag_borel(
         scope["dimension"] = dim
     if n <= equivariant_cap:
         equivariant = list(ideal_generators(flag_function(n), "equivariant").generators)
-        witness = _equality_witness(equivariant, _scaled_borel_generators(n), pair_budget, cache_dir)
+        witness = ideal_equality_witness(equivariant, _scaled_borel_generators(n),
+                                         pair_budget=pair_budget, cache_dir=cache_dir)
         if witness is not None:
             witness["part"] = "equivariant-borel-equality"
             return CheckResult(name="flag-borel", scope=scope, passed=False, witness=witness)
@@ -569,14 +559,14 @@ def _control_peterson():
     ]
     wrong.append(p_sum(n, n))
     gens = list(ideal_generators(peterson_function(n), "equivariant").generators)
-    return _equality_witness(gens, wrong, DEFAULT_PAIR_BUDGET, None)
+    return ideal_equality_witness(gens, wrong)
 
 
 def _control_flag_borel():
     n = 3
     ordinary = list(ideal_generators(flag_function(n), "ordinary").generators)
     missing = [elementary_symmetric(i, range(1, n + 1), n) for i in range(1, n)]
-    return _equality_witness(ordinary, missing, DEFAULT_PAIR_BUDGET, None)
+    return ideal_equality_witness(ordinary, missing)
 
 
 def _control_hilbert():

@@ -305,3 +305,13 @@ def test_out_writes_file(tmp_path):
     payload = json.loads(target.read_text())
     assert payload["command"] == "present"
     assert target.read_text().endswith("\n")
+
+
+def test_out_io_error_exit_code(tmp_path):
+    target = tmp_path / "missing-dir" / "presentation.json"
+    code, out, err = run_main(["present", "--h", "2,2", "--format", "json",
+                               "--out", str(target)])
+    assert code == 74
+    assert out == ""
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert not target.exists()

@@ -9,6 +9,8 @@ S-polynomial to zero, which is the classical Buchberger criterion.
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import itertools
 import json
 from fractions import Fraction
@@ -28,6 +30,7 @@ from hesscoh.groebner import (
     buchberger,
     hilbert_series,
     ideal_equality,
+    ideal_equality_witness,
     ideal_membership,
     leading_term,
     normal_form,
@@ -40,7 +43,7 @@ from hesscoh.hessenberg import (
     parse_hessenberg,
     peterson_function,
 )
-from hesscoh.polyring import one, power_sum, t_var, x_var, zero
+from hesscoh.polyring import Polynomial, one, poly_to_dict, power_sum, t_var, x_var, zero
 
 
 # -- helpers -----------------------------------------------------------------
@@ -150,6 +153,112 @@ def _expand_series(data, bound):
     return coeffs
 
 
+# -- textbook reference engine ------------------------------------------------
+#
+# The Fraction-arithmetic route the integer engine replaced, written out:
+# monic basis elements, a max() rescan for the leading pending term, and
+# S-polynomials formed and divided in Q.  It counts what GroebnerStats
+# counts, plus the basis elements that S-pairs add.
+
+
+def _ref_normal_form(f, basis, order):
+    """(remainder, reduction steps) of textbook division in list order."""
+    table = [leading_term(b, order) + (b.terms,) for b in basis if not b.is_zero()]
+    work = dict(f.terms)
+    remainder = {}
+    steps = 0
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lt, lc, terms in table:
+            if _div(lt, m):
+                steps += 1
+                shift = tuple(a - b for a, b in zip(m, lt))
+                scale = c / lc
+                for e, ce in terms.items():
+                    if e == lt:
+                        continue
+                    target = tuple(a + b for a, b in zip(shift, e))
+                    value = work.get(target, 0) - scale * ce
+                    if value:
+                        work[target] = value
+                    else:
+                        work.pop(target, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.n, remainder), steps
+
+
+def _ref_monic(p, order):
+    return p * (1 / leading_term(p, order)[1])
+
+
+def _ref_buchberger(gens, order):
+    """(reduced basis, stats as a dict, basis elements added by S-pairs)."""
+    basis = []
+    for g in gens:
+        if not g.is_zero() and _ref_monic(g, order) not in basis:
+            basis.append(_ref_monic(g, order))
+    lts = [leading_term(g, order)[0] for g in basis]
+    stats = dict(pairs_processed=0, reductions_to_zero=0, product_skips=0,
+                 chain_skips=0, reduction_steps=0)
+    heap, pending = [], set()
+
+    def push_pairs(j):
+        for i in range(j):
+            lcm = tuple(map(max, lts[i], lts[j]))
+            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
+            pending.add((i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    added = 0
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        stats["pairs_processed"] += 1
+        lcm = tuple(map(max, lts[i], lts[j]))
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
+            stats["product_skips"] += 1
+            continue
+        if any(k not in (i, j) and _div(lts[k], lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(basis))):
+            stats["chain_skips"] += 1
+            continue
+        r, steps = _ref_normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        stats["reduction_steps"] += steps
+        if r.is_zero():
+            stats["reductions_to_zero"] += 1
+            continue
+        basis.append(_ref_monic(r, order))
+        lts.append(leading_term(basis[-1], order)[0])
+        added += 1
+        push_pairs(len(basis) - 1)
+    reduced = []
+    for g in sorted(basis, key=lambda g: order.key(leading_term(g, order)[0])):
+        if not any(_div(leading_term(k, order)[0], leading_term(g, order)[0]) for k in reduced):
+            reduced.append(g)
+    for idx in range(len(reduced)):
+        r, steps = _ref_normal_form(reduced[idx], reduced[:idx] + reduced[idx + 1:], order)
+        stats["reduction_steps"] += steps
+        reduced[idx] = _ref_monic(r, order)
+    return tuple(reduced), stats, added
+
+
+def _assert_matches_reference(gens, order=None):
+    """The engine's basis and counters equal the textbook route's; returns
+    (engine basis, elements added)."""
+    order = order or MonomialOrder()
+    gb = buchberger(gens, order)
+    ref_basis, ref_stats, added = _ref_buchberger(gens, order)
+    assert [poly_to_dict(g) for g in gb.basis] == [poly_to_dict(g) for g in ref_basis]
+    assert dataclasses.asdict(gb.stats) == ref_stats
+    return gb, added
+
+
 # -- monomial orders ---------------------------------------------------------
 
 
@@ -176,6 +285,14 @@ def test_order_priority_permutes_variables():
     natural = MonomialOrder()
     assert natural.key((1, 0, 0)) > natural.key((0, 1, 0))
 
+
+def test_heap_key_is_key_reversed():
+    monomials = [m for m in itertools.product(range(3), repeat=4)]
+    orders = [MonomialOrder(kind) for kind in ("degrevlex", "deglex", "lex")]
+    orders += [MonomialOrder(kind, priority=(2, 0, 3, 1)) for kind in ("degrevlex", "deglex", "lex")]
+    for order in orders:
+        descending = sorted(monomials, key=order.key, reverse=True)
+        assert sorted(monomials, key=order.heap_key) == descending, order
 
 def test_order_validation():
     with pytest.raises(ValueError):
@@ -216,6 +333,59 @@ def test_normal_form_hand_cases():
         normal_form(x1, [])
     with pytest.raises(DimensionMismatchError):
         normal_form(x_var(1, 3), gb.basis, gb.order)
+
+
+def test_normal_form_fraction_remainder_matches_reference():
+    n = 2
+    x1, x2, t = x_var(1, n), x_var(2, n), t_var(n)
+    basis = [3 * x1 * x1 - x2 * t, Fraction(-2, 5) * x1 * x2 + t * t]
+    f = Fraction(1, 3) * x1 * x1 * x1 + 2 * x1 * x1 * x2 + Fraction(3, 4) * x2 * t
+    order = MonomialOrder()
+    got = normal_form(f, basis, order)
+    want, _ = _ref_normal_form(f, basis, order)
+    assert got == want
+    assert any(c.denominator != 1 for c in got.terms.values())
+
+
+def test_engine_matches_reference_every_h_small_n():
+    for n in range(1, 5):
+        for h in enumerate_all(n):
+            for mode in ("ordinary", "equivariant"):
+                _assert_matches_reference(list(ideal_generators(h, mode).generators))
+
+
+def test_engine_matches_reference_rational_and_negative_leading_coefficients():
+    n = 3
+    x1, x2, x3, t = x_var(1, n), x_var(2, n), x_var(3, n), t_var(n)
+    gens = [
+        Fraction(-2, 3) * x1 * x1 + Fraction(5, 7) * x2 * x3 - t * t,
+        -3 * x1 * x2 + Fraction(1, 2) * x3 * x3 + x1,
+        Fraction(7, 4) * x2 * x2 - 2 * x1 * t,
+    ]
+    gens.append(Fraction(-5, 2) * gens[1])  # a scalar multiple is dropped as a duplicate
+    orders = [
+        MonomialOrder(),
+        MonomialOrder("deglex"),
+        MonomialOrder("lex"),
+        MonomialOrder("degrevlex", priority=(2, 0, 3, 1)),
+    ]
+    for order in orders:
+        _assert_matches_reference(gens, order)
+
+
+def test_stats_account_for_every_pair():
+    samples = [
+        (flag_function(4), "ordinary"),
+        (flag_function(4), "equivariant"),
+        (peterson_function(4), "equivariant"),
+        (parse_hessenberg((2, 4, 4, 4)), "ordinary"),
+        (parse_hessenberg((3, 3, 4, 4)), "equivariant"),
+    ]
+    for h, mode in samples:
+        gb, added = _assert_matches_reference(list(ideal_generators(h, mode).generators))
+        s = gb.stats
+        assert s.pairs_processed == s.product_skips + s.chain_skips + s.reductions_to_zero + added
+        assert s.reduction_steps > 0
 
 
 def test_buchberger_frozen_small_basis():
@@ -435,6 +605,13 @@ def test_ideal_equality_symmetric_presentations():
     borel = [elementary_symmetric(i, range(1, n + 1), n) for i in range(1, n + 1)]
     assert ideal_equality(flag, borel)
     assert not ideal_equality(flag, borel[:-1])
+    assert ideal_equality_witness(flag, borel) is None
+    witness = ideal_equality_witness(flag, borel[:-1])
+    assert witness["direction"] == "left-in-right"  # e1, e2 lie in the flag ideal
+    escaped = flag[witness["generator"] - 1]
+    smaller = buchberger(borel[:-1])
+    assert witness["normalForm"] == poly_to_dict(normal_form(escaped, smaller.basis))
+    assert witness["normalForm"]["terms"]
 
 
 # -- cache ----------------------------------------------------------------------
@@ -470,3 +647,66 @@ def test_cache_corruption_recovers(tmp_path):
     second = buchberger(gens, cache_dir=tmp_path)
     assert second.basis == first.basis
     assert json.loads(path.read_text())["schemaVersion"] == 1  # rewritten cleanly
+
+
+def _cached_entry(tmp_path, h=(2, 3, 3), mode="ordinary"):
+    gens = list(ideal_generators(parse_hessenberg(h), mode).generators)
+    first = buchberger(gens, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("gb-*.json")
+    return gens, first, path
+
+
+def test_cache_stores_every_counter_and_loads_entries_without_the_new_ones(tmp_path):
+    gens, first, path = _cached_entry(tmp_path)
+    data = json.loads(path.read_text())
+    assert data["stats"] == dataclasses.asdict(first.stats)
+    data["stats"] = {"pairs_processed": 7, "reductions_to_zero": 3}  # an older entry
+    path.write_text(json.dumps(data))
+    loaded = buchberger(gens, cache_dir=tmp_path)
+    assert loaded.basis == first.basis
+    assert dataclasses.asdict(loaded.stats) == {
+        "pairs_processed": 7, "reductions_to_zero": 3,
+        "product_skips": 0, "chain_skips": 0, "reduction_steps": 0,
+    }
+
+
+def test_cache_entry_with_another_schema_version_is_a_miss(tmp_path):
+    gens, first, path = _cached_entry(tmp_path)
+    data = json.loads(path.read_text())
+    data["schemaVersion"] = 2
+    data["basis"] = data["basis"][:1]
+    path.write_text(json.dumps(data))
+    again = buchberger(gens, cache_dir=tmp_path)
+    assert again.basis == first.basis
+    assert json.loads(path.read_text())["schemaVersion"] == 1  # rewritten
+
+
+def test_cache_entry_from_another_ring_is_a_miss(tmp_path):
+    gens, first, path = _cached_entry(tmp_path)
+    data = json.loads(path.read_text())
+    data["basis"] = [poly_to_dict(x_var(1, 4))]  # the request is n = 3
+    path.write_text(json.dumps(data))
+    again = buchberger(gens, cache_dir=tmp_path)
+    assert again.basis == first.basis
+    assert json.loads(path.read_text())["basis"] == [poly_to_dict(g) for g in first.basis]
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    gens = list(ideal_generators(parse_hessenberg((2, 3, 3)), "ordinary").generators)
+    real_write_text = Path.write_text
+
+    def interrupted(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(OSError, match="No space"):
+        buchberger(gens, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # neither a torn entry nor a stray temp file
+    monkeypatch.undo()
+    gb = buchberger(gens, cache_dir=tmp_path)
+    (path,) = tmp_path.iterdir()
+    assert path.name.startswith("gb-") and path.name.endswith(".json")
+    assert json.loads(path.read_text())["basis"] == [poly_to_dict(g) for g in gb.basis]
