@@ -8,18 +8,29 @@ monic basis, and a pivot recursion on the leading-term ideal for the
 Hilbert series.
 
 Every division (S-pair reduction, inter-reduction, normal_form) runs
-through one routine, _reduce.  It keeps the pending monomials in a heap,
-each keyed once when it enters (MonomialOrder.heap_key), so the largest
-pending term is popped rather than searched for.  It works over Z:
-reducers are primitive integer polynomials with a positive leading
-coefficient, and a step scales the working polynomial by lc/gcd instead
-of dividing.  Each intermediate is then a nonzero scalar multiple of
-its textbook Fraction counterpart, so leading monomials, pair order,
-criteria and counters are the same.  buchberger keeps the reducers
-(leading monomial, leading coefficient, tail) in a table that grows
-with the basis.  Monic Fraction polynomials come back only in
-_reduce_basis, which returns the reduced basis; normal_form divides the
-integer remainder by the scale it applied.
+through one routine, _reduce.  It works over Z: reducers are primitive
+integer polynomials with a positive leading coefficient, and a step
+scales the working polynomial by lc/gcd instead of dividing.  Each
+intermediate is then a nonzero scalar multiple of its textbook Fraction
+counterpart, so leading monomials, pair order, criteria and counters are
+the same.  buchberger keeps the reducers (leading monomial, leading
+coefficient, tail) in a table that grows with the basis.  Monic Fraction
+polynomials come back only in _reduce_basis, which returns the reduced
+basis; normal_form divides the integer remainder by the scale it applied.
+
+Inside the integer core a monomial is one int (Monagan & Pearce, "Sparse
+polynomial division using a heap", J. Symb. Comput. 2011).  Its low
+bits hold one FIELD_BITS-wide field per variable, whose top bit is a
+guard bit; above them sits MonomialOrder.heap_key, a linear form in the
+exponents with integer weights (smaller key = larger monomial).  Both
+parts are linear, so a product of monomials is +, the quotient by a
+divisor is -, ``a`` divides ``b`` iff ``(b - a) & guard`` is 0, and the
+ints sort as their heap keys: the pending terms form a heap of plain
+ints and the leading monomial is the smallest int.  An exponent past
+MAX_EXPONENT, on input or in any product, raises ResourceLimitError
+rather than carry into the next field.  Exponent tuples remain at the
+boundary: Polynomial in and out, the pair lcms, the reduced basis and
+the cache.
 
 Monomial orders act on the dense exponent tuples of polyring.  The
 default is degrevlex with x_1 > ... > x_n > t; an explicit variable
@@ -40,7 +51,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import le, mul, sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,6 +63,9 @@ DEFAULT_PAIR_BUDGET = 200_000
 ORDER_KINDS = ("degrevlex", "deglex", "lex")
 
 CACHE_SCHEMA_VERSION = 1
+
+FIELD_BITS = 16  # per variable in a packed monomial, guard bit included
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -93,17 +107,14 @@ class MonomialOrder:
             return (sum(e), e)
         return e  # lex
 
-    def heap_key(self, exponents: Monomial) -> tuple:
+    def heap_key(self, exponents: Monomial) -> int:
         """Ascending sort key; smaller key = larger monomial.
 
-        A min-heap on it pops the largest monomial first.
+        A linear form with integer weights (_heap_weights), so
+        heap_key(a + b) = heap_key(a) + heap_key(b).  It orders every
+        monomial whose exponents are at most MAX_EXPONENT.
         """
-        e = self._by_priority(exponents)
-        if self.kind == "degrevlex":
-            return (-sum(e), *reversed(e))
-        if self.kind == "deglex":
-            return (-sum(e), *(-v for v in e))
-        return tuple(-v for v in e)  # lex
+        return sum(map(mul, _heap_weights(self, len(exponents)), exponents))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
@@ -112,6 +123,28 @@ class MonomialOrder:
     def from_dict(cls, data: dict) -> "MonomialOrder":
         pr = data.get("priority")
         return cls(kind=data["kind"], priority=tuple(pr) if pr else None)
+
+
+def _heap_weights(order: MonomialOrder, nvars: int) -> tuple[int, ...]:
+    """The weight of each variable in order.heap_key.
+
+    The key reads (-degree, the exponents in reverse priority) for
+    degrevlex, (-degree, minus the exponents in priority) for deglex
+    and minus the exponents in priority for lex, each as one number in
+    base B = MAX_EXPONENT + 1; the degree digit weighs B**nvars.
+    """
+    priority = order.priority if order.priority is not None else range(nvars)
+    if len(priority) != nvars:
+        raise ValueError(f"priority covers {len(priority)} variables, monomial has {nvars}")
+    base = MAX_EXPONENT + 1
+    degree = 0 if order.kind == "lex" else -base ** nvars
+    weights = [0] * nvars
+    for rank, v in enumerate(priority):
+        if order.kind == "degrevlex":
+            weights[v] = degree + base ** rank
+        else:
+            weights[v] = degree - base ** (nvars - 1 - rank)
+    return tuple(weights)
 
 
 @dataclass
@@ -174,18 +207,51 @@ def _common_n(polys: Sequence[Polynomial]) -> int:
 
 # -- integer reduction core -------------------------------------------------
 #
-# An integer polynomial is a dict {monomial: nonzero int}.  A reducer is a
-# tuple (lt, lc, tail): leading monomial, positive leading coefficient,
-# and the other terms as an integer polynomial.
+# A packed monomial is an int (see the module docstring); `guard` is the
+# mask of the guard bits of a ring's fields.  An integer polynomial is a
+# dict {packed monomial: nonzero int}.  A reducer is a tuple (lt, lc, tail):
+# leading monomial, positive leading coefficient, and the other terms as
+# an integer polynomial.
 
 
-def _integer_terms(p: Polynomial) -> tuple[dict[Monomial, int], int]:
+def _pack_weights(order: MonomialOrder, nvars: int) -> tuple[int, ...]:
+    """The packed monomial of each variable: its heap-key weight above the
+    fields, and a 1 in its own field."""
+    low = FIELD_BITS * nvars
+    return tuple((w << low) + (1 << FIELD_BITS * v)
+                 for v, w in enumerate(_heap_weights(order, nvars)))
+
+
+def _pack(exponents: Monomial, weights: tuple[int, ...]) -> int:
+    """The packed monomial; weights is _pack_weights of the ring and order."""
+    if max(exponents) > MAX_EXPONENT:
+        raise _overflow()
+    return sum(map(mul, weights, exponents))
+
+
+def _unpack(m: int, nvars: int) -> Monomial:
+    return tuple(m >> FIELD_BITS * v & MAX_EXPONENT for v in range(nvars))
+
+
+def _guard(nvars: int) -> int:
+    return sum(1 << FIELD_BITS * (v + 1) - 1 for v in range(nvars))
+
+
+def _overflow() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"an exponent exceeds {MAX_EXPONENT}, the packed monomial field; "
+        "the computation is out of scale"
+    )
+
+
+def _integer_terms(p: Polynomial, order: MonomialOrder) -> tuple[dict[int, int], int]:
     """(d * p as an integer polynomial, d) for d the lcm of the denominators."""
     d = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
+    weights = _pack_weights(order, p.n + 1)
+    return {_pack(e, weights): c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
 
 
-def _reducer(terms: dict[Monomial, int], lt: Monomial) -> tuple:
+def _reducer(terms: dict[int, int], lt: int) -> tuple:
     """The primitive reducer with leading monomial lt for a nonzero integer
     polynomial: divided by its content, signed so that lc > 0."""
     content = gcd(*terms.values())
@@ -197,11 +263,16 @@ def _reducer(terms: dict[Monomial, int], lt: Monomial) -> tuple:
 
 
 def _reducer_table(polys: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
-    return [_reducer(_integer_terms(p)[0], leading_term(p, order)[0]) for p in polys]
+    """Reducers of nonzero polynomials; the leading monomial is the
+    smallest packed int."""
+    table = []
+    for p in polys:
+        terms = _integer_terms(p, order)[0]
+        table.append(_reducer(terms, min(terms)))
+    return table
 
 
-def _reduce(work: dict[Monomial, int], table: Sequence[tuple],
-            order: MonomialOrder) -> tuple[dict, int, int]:
+def _reduce(work: dict[int, int], table: Sequence[tuple], guard: int) -> tuple[dict, int, int]:
     """Divide the integer polynomial `work` (consumed) by the reducers.
 
     Returns (remainder, scale, steps): scale is a positive integer with
@@ -211,19 +282,18 @@ def _reduce(work: dict[Monomial, int], table: Sequence[tuple],
     so the result is deterministic.  Remainder terms are inserted
     largest first, so the first key is the leading monomial.
     """
-    heap_key = order.heap_key
-    heap = [(heap_key(m), m) for m in work]
+    heap = list(work)
     heapify(heap)
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     scale = 1
     steps = 0
     while heap:
-        m = heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue  # stale entry: m cancelled after it was pushed
         for lt, lc, tail in table:
-            if all(map(le, lt, m)):
+            if not (m - lt) & guard:
                 break
         else:
             remainder[m] = c
@@ -237,13 +307,15 @@ def _reduce(work: dict[Monomial, int], table: Sequence[tuple],
                 work[e] *= factor
             for e in remainder:
                 remainder[e] *= factor
-        shift = tuple(map(sub, m, lt))
+        shift = m - lt
         for e, ce in tail.items():
-            target = tuple(map(add, shift, e))
+            target = shift + e
             value = work.get(target)
             if value is None:
+                if target & guard:
+                    raise _overflow()
                 work[target] = -q * ce
-                heappush(heap, (heap_key(target), target))
+                heappush(heap, target)
             else:
                 value -= q * ce
                 if value:
@@ -254,23 +326,24 @@ def _reduce(work: dict[Monomial, int], table: Sequence[tuple],
 
 
 def _normal_form(f: Polynomial, table: Sequence[tuple], order: MonomialOrder) -> Polynomial:
-    work, denominator = _integer_terms(f)
-    remainder, scale, _ = _reduce(work, table, order)
+    work, denominator = _integer_terms(f, order)
+    remainder, scale, _ = _reduce(work, table, _guard(f.n + 1))
     d = scale * denominator
-    return Polynomial._raw(f.n, {e: Fraction(c, d) for e, c in remainder.items()})
+    return Polynomial._raw(f.n, {_unpack(e, f.n + 1): Fraction(c, d) for e, c in remainder.items()})
 
 
-def _s_terms(a: tuple, b: tuple) -> dict[Monomial, int]:
+def _s_terms(a: tuple, b: tuple, pair_lcm: int, guard: int) -> dict[int, int]:
     """Integer S-polynomial of two reducers, a positive multiple of the
     S-polynomial of their monic forms."""
     (la, ca, ta), (lb, cb, tb) = a, b
-    pair_lcm = _lcm(la, lb)
     g = gcd(ca, cb)
-    work: dict[Monomial, int] = {}
+    work: dict[int, int] = {}
     for lt, tail, factor in ((la, ta, cb // g), (lb, tb, -(ca // g))):
-        shift = _quotient(pair_lcm, lt)
+        shift = pair_lcm - lt
         for e, c in tail.items():
-            target = tuple(map(add, shift, e))
+            target = shift + e
+            if target & guard:
+                raise _overflow()
             value = work.get(target, 0) + factor * c
             if value:
                 work[target] = value
@@ -339,19 +412,24 @@ def buchberger(
         if cached is not None:
             return cached
 
-    # table[k] is the primitive integer reducer of the k-th basis element
+    # table[k] is the primitive integer reducer of the k-th basis element,
+    # lts[k] its leading monomial as an exponent tuple
     table: list[tuple] = []
     for reducer in _reducer_table([g for g in gens if not g.is_zero()], order):
         if reducer not in table:
             table.append(reducer)
+    nvars = n + 1
+    lts = [_unpack(r[0], nvars) for r in table]
+    weights = _pack_weights(order, nvars)
+    guard = _guard(nvars)
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
         for i in range(j):
-            lcm = _lcm(table[i][0], table[j][0])
-            heappush(heap, (sum(lcm), order.key(lcm), i, j))
+            lcm = tuple(map(max, lts[i], lts[j]))
+            heappush(heap, (sum(lcm), -_pack(lcm, weights), i, j))
             pending.add((i, j))
 
     for j in range(len(table)):
@@ -359,40 +437,41 @@ def buchberger(
 
     stats = GroebnerStats()
     while heap:
-        _, _, i, j = heappop(heap)
+        _, neg_lcm, i, j = heappop(heap)
         pending.discard((i, j))
         stats.pairs_processed += 1
         if stats.pairs_processed > pair_budget:
             raise ResourceLimitError(
                 f"S-pair budget of {pair_budget} exhausted; the computation is out of scale"
             )
-        li, lj = table[i][0], table[j][0]
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+        pair_lcm = -neg_lcm
+        if pair_lcm == table[i][0] + table[j][0]:
             stats.product_skips += 1  # coprime leading monomials
             continue
-        if _chain_criterion(i, j, _lcm(li, lj), table, pending):
+        if _chain_criterion(i, j, pair_lcm, table, pending, guard):
             stats.chain_skips += 1
             continue
-        remainder, _, steps = _reduce(_s_terms(table[i], table[j]), table, order)
+        remainder, _, steps = _reduce(_s_terms(table[i], table[j], pair_lcm, guard), table, guard)
         stats.reduction_steps += steps
         if not remainder:
             stats.reductions_to_zero += 1
             continue
         table.append(_reducer(remainder, next(iter(remainder))))
+        lts.append(_unpack(table[-1][0], nvars))
         push_pairs(len(table) - 1)
 
-    reduced = _reduce_basis(n, table, order, stats)
+    reduced = _reduce_basis(n, table, guard, stats)
     result = GroebnerBasis(n=n, order=order, basis=tuple(reduced), stats=stats)
     if cache_path is not None:
         _cache_store(cache_path, result)
     return result
 
 
-def _chain_criterion(i, j, lcm, table, pending) -> bool:
-    for k in range(len(table)):
+def _chain_criterion(i, j, pair_lcm, table, pending, guard) -> bool:
+    for k, (lt, _, _) in enumerate(table):
         if k == i or k == j:
             continue
-        if _divides(table[k][0], lcm):
+        if not (pair_lcm - lt) & guard:
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
             if pik not in pending and pjk not in pending:
@@ -400,24 +479,26 @@ def _chain_criterion(i, j, lcm, table, pending) -> bool:
     return False
 
 
-def _reduce_basis(n: int, table: list[tuple], order: MonomialOrder,
+def _reduce_basis(n: int, table: list[tuple], guard: int,
                   stats: GroebnerStats) -> list[Polynomial]:
     """Minimalize and inter-reduce; the reduced basis is unique.
 
-    Returns monic Fraction polynomials, ascending by leading monomial.
+    Returns monic Fraction polynomials, ascending by leading monomial
+    (descending packed int).
     """
-    key = order.key
     minimal: list[tuple] = []
-    for reducer in sorted(table, key=lambda r: key(r[0])):
-        if not any(_divides(kept[0], reducer[0]) for kept in minimal):
+    for reducer in sorted(table, key=lambda r: -r[0]):
+        if all((reducer[0] - kept[0]) & guard for kept in minimal):
             minimal.append(reducer)
     for idx, (lt, lc, tail) in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        remainder, _, steps = _reduce({lt: lc, **tail}, others, order)
+        remainder, _, steps = _reduce({lt: lc, **tail}, others, guard)
         stats.reduction_steps += steps
         minimal[idx] = _reducer(remainder, lt)
+    nvars = n + 1
     return [
-        Polynomial._raw(n, {lt: Fraction(1), **{e: Fraction(c, lc) for e, c in tail.items()}})
+        Polynomial._raw(n, {_unpack(lt, nvars): Fraction(1),
+                            **{_unpack(e, nvars): Fraction(c, lc) for e, c in tail.items()}})
         for lt, lc, tail in minimal
     ]
 
@@ -447,11 +528,22 @@ def ideal_equality_witness(
     order = order or MonomialOrder()
     gb_a = buchberger(gens_a, order, pair_budget, cache_dir)
     gb_b = buchberger(gens_b, order, pair_budget, cache_dir)
+    return basis_equality_witness(gens_a, gb_a, gens_b, gb_b)
+
+
+def basis_equality_witness(
+    gens_a: Sequence[Polynomial],
+    gb_a: GroebnerBasis,
+    gens_b: Sequence[Polynomial],
+    gb_b: GroebnerBasis,
+) -> dict | None:
+    """ideal_equality_witness for a caller that already holds gb_a and
+    gb_b, Groebner bases of the ideals of gens_a and gens_b."""
     _common_n([*gens_a, *gens_b])
     for label, gens, gb in (("right-in-left", gens_b, gb_a), ("left-in-right", gens_a, gb_b)):
-        table = _reducer_table(gb.basis, order)
+        table = _reducer_table(gb.basis, gb.order)
         for idx, g in enumerate(gens, start=1):
-            r = _normal_form(g, table, order)
+            r = _normal_form(g, table, gb.order)
             if not r.is_zero():
                 return {"direction": label, "generator": idx, "normalForm": poly_to_dict(r)}
     return None

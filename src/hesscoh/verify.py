@@ -35,6 +35,7 @@ from .generators import (
 )
 from .groebner import (
     DEFAULT_PAIR_BUDGET,
+    basis_equality_witness,
     buchberger,
     hilbert_series,
     ideal_equality_witness,
@@ -413,12 +414,12 @@ def check_flag_borel(
         flag = flag_function(n)
         ordinary = list(ideal_generators(flag, "ordinary").generators)
         borel = [elementary_symmetric(i, range(1, n + 1), n) for i in range(1, n + 1)]
-        witness = ideal_equality_witness(ordinary, borel,
-                                         pair_budget=pair_budget, cache_dir=cache_dir)
+        gb = buchberger(ordinary, pair_budget=pair_budget, cache_dir=cache_dir)
+        gb_borel = buchberger(borel, pair_budget=pair_budget, cache_dir=cache_dir)
+        witness = basis_equality_witness(ordinary, gb, borel, gb_borel)
         if witness is not None:
             witness["part"] = "borel-equality"
             return CheckResult(name="flag-borel", scope=scope, passed=False, witness=witness)
-        gb = buchberger(ordinary, pair_budget=pair_budget, cache_dir=cache_dir)
         dim = hilbert_series(gb).quotient_dimension
         std = len(standard_monomials(gb))
         if dim != factorial(n) or std != factorial(n):

@@ -16,6 +16,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesscoh.errors import (
     DimensionMismatchError,
@@ -24,9 +26,16 @@ from hesscoh.errors import (
 )
 from hesscoh.generators import ideal_generators
 from hesscoh.groebner import (
+    MAX_EXPONENT,
+    ORDER_KINDS,
     GroebnerBasis,
     GroebnerStats,
     MonomialOrder,
+    _divides,
+    _guard,
+    _pack,
+    _pack_weights,
+    _unpack,
     buchberger,
     hilbert_series,
     ideal_equality,
@@ -293,6 +302,98 @@ def test_heap_key_is_key_reversed():
     for order in orders:
         descending = sorted(monomials, key=order.key, reverse=True)
         assert sorted(monomials, key=order.heap_key) == descending, order
+
+# -- packed monomials -----------------------------------------------------------
+
+
+@st.composite
+def _orders(draw, nvars):
+    kind = draw(st.sampled_from(ORDER_KINDS))
+    priority = draw(st.none() | st.permutations(range(nvars)).map(tuple))
+    return MonomialOrder(kind, priority)
+
+
+def _monomials(nvars, top=MAX_EXPONENT):
+    """Exponent tuples up to top, or all small so that divisibility and
+    equal degrees come up."""
+    return st.one_of(*(st.tuples(*(st.integers(0, bound) for _ in range(nvars)))
+                       for bound in (2, top)))
+
+
+@st.composite
+def _order_and_monomials(draw, count, top=MAX_EXPONENT):
+    nvars = draw(st.integers(1, 7))
+    return draw(_orders(nvars)), [draw(_monomials(nvars, top)) for _ in range(count)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_order_and_monomials(1))
+def test_pack_unpack_round_trip(case):
+    order, (m,) = case
+    assert _unpack(_pack(m, _pack_weights(order, len(m))), len(m)) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_order_and_monomials(2, top=MAX_EXPONENT // 2))
+def test_heap_key_and_packing_are_additive(case):
+    order, (a, b) = case
+    product = tuple(map(sum, zip(a, b)))
+    assert order.heap_key(product) == order.heap_key(a) + order.heap_key(b)
+    weights = _pack_weights(order, len(a))
+    assert _pack(product, weights) == _pack(a, weights) + _pack(b, weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_order_and_monomials(8))
+def test_heap_key_and_packing_sort_as_key_reversed(case):
+    order, monomials = case
+    descending = sorted(monomials, key=order.key, reverse=True)
+    assert sorted(monomials, key=order.heap_key) == descending
+    weights = _pack_weights(order, len(monomials[0]))
+    assert sorted(monomials, key=lambda m: _pack(m, weights)) == descending
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_and_monomials(2))
+def test_packed_divisibility_agrees_with_divides(case):
+    order, (a, b) = case
+    weights, guard = _pack_weights(order, len(a)), _guard(len(a))
+    multiple = tuple(min(x + y, MAX_EXPONENT) for x, y in zip(a, b))
+    for small, big in ((a, b), (b, a), (a, multiple), (multiple, a)):
+        packed = not (_pack(big, weights) - _pack(small, weights)) & guard
+        assert packed == _divides(small, big)
+
+
+def test_exponent_past_the_packed_field_is_refused():
+    n = 2
+    x2 = x_var(2, n)
+    past = Polynomial(n, {(MAX_EXPONENT + 1, 0, 0): 1})
+    with pytest.raises(ResourceLimitError, match="packed monomial field"):
+        buchberger([past, x2])
+    with pytest.raises(ResourceLimitError, match="packed monomial field"):
+        normal_form(past, [x2])
+    at_bound = Polynomial(n, {(MAX_EXPONENT, 0, 0): 1})
+    assert buchberger([at_bound, x2]).basis == (x2, at_bound)
+
+
+def test_reduction_growing_an_exponent_past_the_packed_field_is_refused():
+    # under lex, x1 - x2^d rewrites x1^k to x2^(k d)
+    n, d = 2, 1000
+    lex = MonomialOrder("lex")
+    x1 = x_var(1, n)
+    g = x1 - Polynomial(n, {(0, d, 0): 1})
+    k = MAX_EXPONENT // d + 1
+    with pytest.raises(ResourceLimitError, match="packed monomial field"):
+        normal_form(x1 ** k, [g], lex)
+    with pytest.raises(ResourceLimitError, match="packed monomial field"):
+        buchberger([x1 ** k, g], lex)
+    assert normal_form(x1 ** (k - 1), [g], lex) == Polynomial(n, {(0, (k - 1) * d, 0): 1})
+    # the S-polynomial of x1 - x2^e and x1 x2^e is already x2^(2e)
+    e = MAX_EXPONENT // 2 + 1
+    x2e = Polynomial(n, {(0, e, 0): 1})
+    with pytest.raises(ResourceLimitError, match="packed monomial field"):
+        buchberger([x1 - x2e, x1 * x2e], lex)
+
 
 def test_order_validation():
     with pytest.raises(ValueError):

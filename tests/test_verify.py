@@ -128,6 +128,24 @@ def test_flag_borel_check_full_depth():
     ]
 
 
+def test_flag_borel_check_computes_each_basis_once(monkeypatch):
+    import hesscoh.groebner as groebner_module
+
+    calls = []
+    real = groebner_module.buchberger
+
+    def counting(gens, *args, **kwargs):
+        calls.append(len(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "buchberger", counting)
+    monkeypatch.setattr(verify_module, "buchberger", counting)
+    result = check_flag_borel(4)  # past EQUIVARIANT_FLAG_CAP: the flag and Borel ideals only
+    assert result.passed
+    assert result.scope["dimension"] == 24
+    assert len(calls) == 2
+
+
 def test_flag_borel_check_beyond_groebner_cap():
     result = check_flag_borel(5)
     assert result.passed
