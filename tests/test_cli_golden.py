@@ -1,0 +1,51 @@
+"""Exact bytes of `present` and `generators` in every format and mode.
+
+tests/cli_golden.json maps each argv (joined by spaces) to the output it
+printed when the fixture was recorded.  Refactors of the emitters must
+reproduce it byte for byte.  To re-record after an intended output
+change:
+
+    PYTHONPATH=src python -c "import tests.test_cli_golden as g; g.record()"
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hesscoh.cli import main
+
+FIXTURE = Path(__file__).with_name("cli_golden.json")
+
+ARGVS = [
+    [*command, "--format", fmt, "--mode", mode]
+    for command in (["present", "--h", "2,3,3"], ["generators", "--n", "3"])
+    for fmt in ("text", "json", "latex")
+    for mode in ("equivariant", "ordinary")
+]
+
+
+def render(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def record() -> None:
+    outputs = {" ".join(argv): render(argv) for argv in ARGVS}
+    FIXTURE.write_text(json.dumps(outputs, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_output_matches_recording(argv):
+    recorded = json.loads(FIXTURE.read_text())
+    assert render(argv) == recorded[" ".join(argv)]
+
+
+def test_recording_covers_every_case():
+    assert sorted(json.loads(FIXTURE.read_text())) == sorted(" ".join(a) for a in ARGVS)
