@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from math import prod
+from pathlib import Path
 
 from .errors import InvalidHessenbergError, ResourceLimitError
 from .generators import generator_matrix, ideal_generators
@@ -28,9 +28,9 @@ from .hessenberg import (
     fixed_points,
     parse_hessenberg,
 )
-from .latexout import ideal_latex_lines, latex_document, matrix_latex_lines
+from .latexout import latex_document, latex_lines
 from .polyring import poly_to_dict
-from .verify import CHECK_NAMES, run_suite
+from .verify import CHECK_NAMES, poincare_product, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,11 +59,19 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 def _emit(text: str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    # a temporary file beside the target, then os.replace: a failed write
+    # leaves the old target as it was
+    target = Path(os.path.realpath(out_path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_text(payload: dict) -> str:
@@ -77,80 +85,39 @@ def _ring_text(n: int, mode: str) -> str:
     return "Q[" + ", ".join(names) + "]"
 
 
-def _generator_lines(rows, polys, mode: str) -> list[str]:
-    lines = []
-    for (i, j), g in zip(rows, polys):
-        degree = 2 * (i - j + 1)
-        lines.append(f"f[{i},{j}] (deg {degree}) = {g}")
-    return lines
+def _emit_entries(args, table, head: str, payload: dict, key: str, title: str) -> int:
+    """Emit the (i, j, g) entries of a PresentedIdeal or GeneratorMatrix:
+    text after head, JSON under payload[key], LaTeX under title."""
+    if args.format == "text":
+        lines = [head, f"mode: {table.mode}", f"ring: {_ring_text(table.n, table.mode)}"]
+        lines += [f"f[{i},{j}] (deg {2 * (i - j + 1)}) = {g}" for i, j, g in table.entries]
+        _emit("\n".join(lines), args.out)
+    elif args.format == "json":
+        payload[key] = [
+            {"row": i, "col": j, "degree": 2 * (i - j + 1), "polynomial": poly_to_dict(g)}
+            for i, j, g in table.entries
+        ]
+        _emit(_json_text(payload), args.out)
+    else:
+        _emit(latex_document(title, latex_lines(table.entries, table.mode)), args.out)
+    return EXIT_OK
 
 
 def _cmd_present(args) -> int:
     h = parse_hessenberg(args.h)
     ideal = ideal_generators(h, args.mode)
-    rows = ideal.rows()
-    if args.format == "text":
-        lines = [
-            f"h: {h}",
-            f"mode: {ideal.mode}",
-            f"ring: {_ring_text(h.n, ideal.mode)}",
-        ]
-        lines += _generator_lines(rows, ideal.generators, ideal.mode)
-        _emit("\n".join(lines), args.out)
-    elif args.format == "json":
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "present",
-            "h": list(h.values),
-            "mode": ideal.mode,
-            "n": h.n,
-            "generators": [
-                {
-                    "row": i,
-                    "col": j,
-                    "degree": 2 * (i - j + 1),
-                    "polynomial": poly_to_dict(g),
-                }
-                for (i, j), g in zip(rows, ideal.generators)
-            ],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        title = f"Presentation for h = {h}, {ideal.mode} mode"
-        _emit(latex_document(title, ideal_latex_lines(ideal)), args.out)
-    return EXIT_OK
+    payload = {"schemaVersion": SCHEMA_VERSION, "command": "present", "h": list(h.values),
+               "mode": ideal.mode, "n": h.n}
+    return _emit_entries(args, ideal, f"h: {h}", payload, "generators",
+                         f"Presentation for h = {h}, {ideal.mode} mode")
 
 
 def _cmd_generators(args) -> int:
     matrix = generator_matrix(args.n, args.mode)
-    if args.format == "text":
-        lines = [f"n: {matrix.n}", f"mode: {matrix.mode}",
-                 f"ring: {_ring_text(matrix.n, matrix.mode)}"]
-        rows = [(i, j) for i, j, _ in matrix.entries]
-        polys = [g for _, _, g in matrix.entries]
-        lines += _generator_lines(rows, polys, matrix.mode)
-        _emit("\n".join(lines), args.out)
-    elif args.format == "json":
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "generators",
-            "n": matrix.n,
-            "mode": matrix.mode,
-            "entries": [
-                {
-                    "row": i,
-                    "col": j,
-                    "degree": 2 * (i - j + 1),
-                    "polynomial": poly_to_dict(g),
-                }
-                for i, j, g in matrix.entries
-            ],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        title = f"Generators $f_{{i,j}}$ for $n = {matrix.n}$, {matrix.mode} mode"
-        _emit(latex_document(title, matrix_latex_lines(matrix)), args.out)
-    return EXIT_OK
+    payload = {"schemaVersion": SCHEMA_VERSION, "command": "generators", "n": matrix.n,
+               "mode": matrix.mode}
+    return _emit_entries(args, matrix, f"n: {matrix.n}", payload, "entries",
+                         f"Generators $f_{{i,j}}$ for $n = {matrix.n}$, {matrix.mode} mode")
 
 
 def _format_permutation(w) -> str:
@@ -252,7 +219,7 @@ def _cmd_hilbert(args) -> int:
                 "text": text,
             },
             "dimension": dimension,
-            "predictedDimension": prod(h(j) - j + 1 for j in range(1, h.n + 1)),
+            "predictedDimension": sum(poincare_product(h)),
             "fixedPointCount": count,
         }
         _emit(_json_text(payload), args.out)

@@ -157,14 +157,23 @@ class PresentedIdeal:
         """(i, j) index pairs of the generators, column order."""
         return [(self.h(j), j) for j in range(1, self.n + 1)]
 
+    @property
+    def entries(self) -> tuple[tuple[int, int, Polynomial], ...]:
+        """(i, j, generator) triples, column order, shaped like GeneratorMatrix.entries."""
+        return tuple((i, j, g) for (i, j), g in zip(self.rows(), self.generators))
+
+
+def _builder(mode: str):
+    """f_inductive for equivariant mode, f_ordinary for ordinary mode."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return f_inductive if mode == "equivariant" else f_ordinary
+
 
 def ideal_generators(h: HessenbergFunction, mode: str = "equivariant") -> PresentedIdeal:
     """The presentation ideal I(h) (equivariant) or its t = 0 twin."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    n = h.n
-    build = f_inductive if mode == "equivariant" else f_ordinary
-    gens = tuple(build(h(j), j, n) for j in range(1, n + 1))
+    build = _builder(mode)
+    gens = tuple(build(h(j), j, h.n) for j in range(1, h.n + 1))
     return PresentedIdeal(h=h, mode=mode, generators=gens)
 
 
@@ -179,9 +188,7 @@ class GeneratorMatrix:
 
 def generator_matrix(n: int, mode: str = "equivariant") -> GeneratorMatrix:
     _check_n(n)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    build = f_inductive if mode == "equivariant" else f_ordinary
+    build = _builder(mode)
     entries = tuple(
         (i, j, build(i, j, n)) for i in range(1, n + 1) for j in range(1, i + 1)
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .generators import GeneratorMatrix, PresentedIdeal
 from .polyring import Polynomial, monomial_latex
 
 
@@ -76,27 +75,13 @@ def _label(i: int, j: int, mode: str) -> str:
     return f"{head}_{{{i},{j}}}"
 
 
-def ideal_latex_lines(ideal: PresentedIdeal) -> list[str]:
-    """One align*-ready line per generator, in column order."""
-    lines = []
-    for (i, j), g in zip(ideal.rows(), ideal.generators):
-        if ideal.mode == "equivariant":
-            rhs = factored_latex(i, j)
-        else:
-            rhs = poly_latex(g)
-        lines.append(f"{_label(i, j, ideal.mode)} &= {rhs}")
-    return lines
-
-
-def matrix_latex_lines(matrix: GeneratorMatrix) -> list[str]:
-    lines = []
-    for i, j, g in matrix.entries:
-        if matrix.mode == "equivariant":
-            rhs = factored_latex(i, j)
-        else:
-            rhs = poly_latex(g)
-        lines.append(f"{_label(i, j, matrix.mode)} &= {rhs}")
-    return lines
+def latex_lines(entries, mode: str) -> list[str]:
+    """One align*-ready line per (i, j, g) entry, in the given order."""
+    return [
+        f"{_label(i, j, mode)} &= "
+        + (factored_latex(i, j) if mode == "equivariant" else poly_latex(g))
+        for i, j, g in entries
+    ]
 
 
 def latex_document(title: str, align_lines: list[str]) -> str:

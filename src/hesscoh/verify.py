@@ -5,7 +5,9 @@ failure (indices, permutation, residue polynomial) so a red result is
 actionable.  run_suite sweeps the checks over all Hessenberg functions
 up to per-check caps: purely symbolic comparisons default to n <= 6
 (exactness to n <= 5, its exhaustive S_n scan being the expensive one)
-and Groebner-backed comparisons to n <= 4.
+and Groebner-backed comparisons to n <= 4.  One ordered registry, _CHECKS,
+maps each check name to its task expander, its runner and its negative
+control; a check that raises becomes a FAIL row with an exception witness.
 
 negative_controls() re-runs each comparison on deliberately corrupted
 input and passes only when the corruption is caught with a concrete
@@ -16,11 +18,13 @@ broken even if everything else is green.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, permutations
 from math import factorial, prod
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 from .generators import (
@@ -50,18 +54,6 @@ from .hessenberg import (
     peterson_function,
 )
 from .polyring import Polynomial, elementary_symmetric, poly_to_dict, power_sum, t_var
-
-CHECK_NAMES = (
-    "example-n4",
-    "closed-form",
-    "t-zero",
-    "localization",
-    "fixed-point-exactness",
-    "peterson",
-    "flag-borel",
-    "hilbert",
-    "negative-controls",
-)
 
 SYMBOLIC_CAP = 6
 EXACTNESS_CAP = 5
@@ -169,16 +161,23 @@ def _example_table_n4() -> dict[tuple[int, int], Polynomial]:
     }
 
 
-def _compare_table(expected: dict[tuple[int, int], Polynomial]) -> dict | None:
-    for (i, j), want in sorted(expected.items()):
-        got = f_inductive(i, j, 4)
-        if got != want:
-            return {
-                "i": i,
-                "j": j,
-                "difference": poly_to_dict(got - want),
-            }
+def _first_difference(cells, left, right) -> dict | None:
+    """The first (i, j) in cells with left(i, j) != right(i, j), as the
+    witness {"i", "j", "difference": left - right}, or None."""
+    for i, j in cells:
+        a, b = left(i, j), right(i, j)
+        if a != b:
+            return {"i": i, "j": j, "difference": poly_to_dict(a - b)}
     return None
+
+
+def _triangle(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+
+
+def _compare_table(expected: dict[tuple[int, int], Polynomial]) -> dict | None:
+    return _first_difference(sorted(expected), lambda i, j: f_inductive(i, j, 4),
+                             lambda i, j: expected[i, j])
 
 
 @_timed
@@ -197,16 +196,10 @@ def check_example_n4() -> CheckResult:
 @_timed
 def check_closed_form_at(n: int) -> CheckResult:
     """f_inductive == f_closed for every 1 <= j <= i <= n."""
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            a = f_inductive(i, j, n)
-            b = f_closed(i, j, n)
-            if a != b:
-                return CheckResult(
-                    name="closed-form", scope={"n": n}, passed=False,
-                    witness={"i": i, "j": j, "difference": poly_to_dict(a - b)},
-                )
-    return CheckResult(name="closed-form", scope={"n": n}, passed=True)
+    witness = _first_difference(_triangle(n), lambda i, j: f_inductive(i, j, n),
+                                lambda i, j: f_closed(i, j, n))
+    return CheckResult(name="closed-form", scope={"n": n}, passed=witness is None,
+                       witness=witness)
 
 
 def check_closed_form(n_max: int) -> list[CheckResult]:
@@ -216,16 +209,9 @@ def check_closed_form(n_max: int) -> list[CheckResult]:
 @_timed
 def check_t_zero_at(n: int) -> CheckResult:
     """substitute(f_inductive, t -> 0) == f_ordinary for every (i, j)."""
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            a = f_inductive(i, j, n).substitute(t=0)
-            b = f_ordinary(i, j, n)
-            if a != b:
-                return CheckResult(
-                    name="t-zero", scope={"n": n}, passed=False,
-                    witness={"i": i, "j": j, "difference": poly_to_dict(a - b)},
-                )
-    return CheckResult(name="t-zero", scope={"n": n}, passed=True)
+    witness = _first_difference(_triangle(n), lambda i, j: f_inductive(i, j, n).substitute(t=0),
+                                lambda i, j: f_ordinary(i, j, n))
+    return CheckResult(name="t-zero", scope={"n": n}, passed=witness is None, witness=witness)
 
 
 def check_t_zero(n_max: int) -> list[CheckResult]:
@@ -463,7 +449,7 @@ def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET,
     n = h.n
     scope: dict = {"h": list(h.values), "n": n}
     expected = poincare_product(h)
-    expected_dim = prod(h(j) - j + 1 for j in range(1, n + 1))
+    expected_dim = sum(expected)
 
     ordinary = ideal_generators(h, "ordinary").generators
     gb = buchberger(ordinary, pair_budget=pair_budget, cache_dir=cache_dir)
@@ -510,10 +496,8 @@ def _control_example_n4():
 
 def _control_closed_form():
     n = 4
-    truncated = _ladder_missing_first_column(3, 2, n)
-    if f_inductive(3, 2, n) == truncated:
-        return None
-    return {"i": 3, "j": 2, "difference": poly_to_dict(f_inductive(3, 2, n) - truncated)}
+    return _first_difference([(3, 2)], lambda i, j: f_inductive(i, j, n),
+                             lambda i, j: _ladder_missing_first_column(i, j, n))
 
 
 def _ladder_missing_first_column(i, j, n):
@@ -527,10 +511,9 @@ def _ladder_missing_first_column(i, j, n):
 
 def _control_t_zero():
     n = 2
-    wrong = f_inductive(2, 1, n).substitute(t=1)  # t -> 1 is not the t -> 0 map
-    if wrong == f_ordinary(2, 1, n):
-        return None
-    return {"i": 2, "j": 1, "difference": poly_to_dict(wrong - f_ordinary(2, 1, n))}
+    # t -> 1 is not the t -> 0 map
+    return _first_difference([(2, 1)], lambda i, j: f_inductive(i, j, n).substitute(t=1),
+                             lambda i, j: f_ordinary(i, j, n))
 
 
 def _control_localization():
@@ -580,24 +563,14 @@ def _control_hilbert():
     return {"expected": wrong, "series": series}
 
 
-_CONTROLS = (
-    ("example-n4", _control_example_n4),
-    ("closed-form", _control_closed_form),
-    ("t-zero", _control_t_zero),
-    ("localization", _control_localization),
-    ("fixed-point-exactness", _control_exactness),
-    ("peterson", _control_peterson),
-    ("flag-borel", _control_flag_borel),
-    ("hilbert", _control_hilbert),
-)
-
-
 def negative_controls() -> list[CheckResult]:
     """Corrupt each comparison and demand a failure with a witness."""
     out = []
-    for target, control in _CONTROLS:
+    for target, check in _CHECKS.items():
+        if check.control is None:
+            continue
         start = time.perf_counter()
-        caught = control()
+        caught = check.control()
         result = CheckResult(
             name=f"negative:{target}",
             scope={"mutation": "caught" if caught else "NOT caught", "witness": caught},
@@ -612,74 +585,88 @@ def negative_controls() -> list[CheckResult]:
 # -- suite driver ----------------------------------------------------------
 
 
+class _Sweep(NamedTuple):
+    """The sweep bounds and Groebner settings that tasks are expanded from."""
+
+    n_max: int | None
+    gcap: int
+    budget: int
+    cache: str | None
+
+    def top(self, default: int) -> int:
+        return self.n_max if self.n_max is not None else default
+
+
 def _permutation_sweep(name: str, n_top: int) -> list[tuple]:
-    """One task per h with n <= n_top, refused up front past the permutation
-    cap that fixed_points would hit only once the sweep reaches it."""
+    """One payload per h with n <= n_top, refused up front past the
+    permutation cap that fixed_points would hit only once the sweep reaches it."""
     if n_top > DEFAULT_PERMUTATION_CAP:
         raise ResourceLimitError(
             f"the {name} sweep to n = {n_top} exceeds the cap {DEFAULT_PERMUTATION_CAP}"
         )
-    return [(name, (h.values,)) for n in range(1, n_top + 1) for h in enumerate_all(n)]
+    return [(h.values,) for n in range(1, n_top + 1) for h in enumerate_all(n)]
 
 
-def _expand_tasks(names, n_max, groebner_n_max, pair_budget, cache_dir) -> list[tuple]:
-    sym = lambda default: n_max if n_max is not None else default
-    gcap = groebner_n_max if groebner_n_max is not None else GROEBNER_CAP
-    cache = str(cache_dir) if cache_dir is not None else None
-    tasks: list[tuple] = []
-    for name in names:
-        if name == "example-n4":
-            tasks.append(("example-n4", ()))
-        elif name == "closed-form":
-            tasks += [("closed-form", (n,)) for n in range(1, sym(SYMBOLIC_CAP) + 1)]
-        elif name == "t-zero":
-            tasks += [("t-zero", (n,)) for n in range(1, sym(SYMBOLIC_CAP) + 1)]
-        elif name == "localization":
-            tasks += _permutation_sweep(name, sym(SYMBOLIC_CAP))
-        elif name == "fixed-point-exactness":
-            tasks += _permutation_sweep(name, sym(EXACTNESS_CAP))
-        elif name == "peterson":
-            tasks += [("peterson", (n, pair_budget, cache)) for n in range(2, gcap + 1)]
-        elif name == "flag-borel":
-            for n in range(1, sym(SYMBOLIC_CAP) + 1):
-                tasks.append(
-                    ("flag-borel", (n, gcap, min(EQUIVARIANT_FLAG_CAP, gcap), pair_budget, cache))
-                )
-        elif name == "hilbert":
-            for n in range(1, gcap + 1):
-                tasks += [("hilbert", (h.values, pair_budget, cache)) for h in enumerate_all(n)]
-        elif name == "negative-controls":
-            tasks.append(("negative-controls", ()))
-        else:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    return tasks
+class _Check(NamedTuple):
+    expand: Callable[[_Sweep], list[tuple]]  # the payloads of its tasks
+    run: Callable[..., list[CheckResult]]  # one task's payload -> its results
+    control: Callable[[], dict | None] | None  # a mutation it must catch
+
+
+# Runners name the check_* functions inside a lambda, so they are looked
+# up at call time: rebinding the module attribute (a tracer, a test) reaches
+# every task.
+_CHECKS = {
+    "example-n4": _Check(lambda s: [()], lambda: [check_example_n4()], _control_example_n4),
+    "closed-form": _Check(lambda s: [(n,) for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
+                          lambda n: [check_closed_form_at(n)], _control_closed_form),
+    "t-zero": _Check(lambda s: [(n,) for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
+                     lambda n: [check_t_zero_at(n)], _control_t_zero),
+    "localization": _Check(
+        lambda s: _permutation_sweep("localization", s.top(SYMBOLIC_CAP)),
+        lambda values: [check_localization_vanishing(HessenbergFunction(values))],
+        _control_localization),
+    "fixed-point-exactness": _Check(
+        lambda s: _permutation_sweep("fixed-point-exactness", s.top(EXACTNESS_CAP)),
+        lambda values: [check_fixed_point_exactness(HessenbergFunction(values))],
+        _control_exactness),
+    "peterson": _Check(
+        lambda s: [(n, s.budget, s.cache) for n in range(2, s.gcap + 1)],
+        lambda n, budget, cache: [check_peterson(n, pair_budget=budget, cache_dir=cache)],
+        _control_peterson),
+    "flag-borel": _Check(
+        lambda s: [(n, s.gcap, min(EQUIVARIANT_FLAG_CAP, s.gcap), s.budget, s.cache)
+                   for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
+        lambda n, gcap, ecap, budget, cache: [check_flag_borel(
+            n, groebner_cap=gcap, equivariant_cap=ecap, pair_budget=budget, cache_dir=cache)],
+        _control_flag_borel),
+    "hilbert": _Check(
+        lambda s: [(h.values, s.budget, s.cache)
+                   for n in range(1, s.gcap + 1) for h in enumerate_all(n)],
+        lambda values, budget, cache: [check_hilbert(
+            HessenbergFunction(values), pair_budget=budget, cache_dir=cache)],
+        _control_hilbert),
+    "negative-controls": _Check(lambda s: [()], lambda: negative_controls(), None),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _execute_task(task: tuple) -> list[CheckResult]:
-    kind, payload = task
-    if kind == "example-n4":
-        return [check_example_n4()]
-    if kind == "closed-form":
-        return [check_closed_form_at(payload[0])]
-    if kind == "t-zero":
-        return [check_t_zero_at(payload[0])]
-    if kind == "localization":
-        return [check_localization_vanishing(HessenbergFunction(payload[0]))]
-    if kind == "fixed-point-exactness":
-        return [check_fixed_point_exactness(HessenbergFunction(payload[0]))]
-    if kind == "peterson":
-        n, budget, cache = payload
-        return [check_peterson(n, pair_budget=budget, cache_dir=cache)]
-    if kind == "flag-borel":
-        n, gcap, ecap, budget, cache = payload
-        return [check_flag_borel(n, groebner_cap=gcap, equivariant_cap=ecap,
-                                 pair_budget=budget, cache_dir=cache)]
-    if kind == "hilbert":
-        values, budget, cache = payload
-        return [check_hilbert(HessenbergFunction(values), pair_budget=budget, cache_dir=cache)]
-    if kind == "negative-controls":
-        return negative_controls()
-    raise ValueError(f"unknown task kind {kind!r}")
+    """Run one (name, payload) task.  A crash becomes one FAIL row whose
+    witness names the exception; only a resource cap propagates."""
+    name, payload = task
+    try:
+        return _CHECKS[name].run(*payload)
+    except ResourceLimitError:
+        raise
+    except Exception as exc:
+        scope = {}
+        if payload:  # the task's h (as a tuple of values) or n comes first
+            head = payload[0]
+            scope = {"h": list(head), "n": len(head)} if isinstance(head, tuple) else {"n": head}
+        return [CheckResult(name=name, scope=scope, passed=False,
+                            witness={"exception": type(exc).__name__, "message": str(exc)})]
 
 
 def run_suite(
@@ -700,9 +687,11 @@ def run_suite(
     else:
         selected = list(names)
         for name in selected:
-            if name not in CHECK_NAMES:
+            if name not in _CHECKS:
                 raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    tasks = _expand_tasks(selected, n_max, groebner_n_max, pair_budget, cache_dir)
+    sweep = _Sweep(n_max, groebner_n_max if groebner_n_max is not None else GROEBNER_CAP,
+                   pair_budget, str(cache_dir) if cache_dir is not None else None)
+    tasks = [(name, payload) for name in selected for payload in _CHECKS[name].expand(sweep)]
     start = time.perf_counter()
     results: list[CheckResult] = []
     if jobs > 1 and len(tasks) > 1:

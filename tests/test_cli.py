@@ -6,7 +6,11 @@ import contextlib
 import io
 import json
 
+import pytest
+
+import hesscoh.verify as verify_module
 from hesscoh.cli import main
+from hesscoh.errors import ResourceLimitError
 from hesscoh.verify import CheckResult, VerificationReport
 
 
@@ -238,6 +242,47 @@ def test_verify_refuses_oversized_sweep_up_front():
         assert err.startswith("resource cap:")
 
 
+CRASH_SUITE = ["verify", "--suite", "closed-form,t-zero,localization,negative-controls",
+               "--n-max", "3", "--format", "json", "--no-timing"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_crashing_check_is_a_fail_row(monkeypatch, jobs):
+    # also pins the registry's late binding: the patched module attribute
+    # must reach every t-zero task, in worker processes too
+    code, out, _ = run_main([*CRASH_SUITE, "--jobs", jobs])
+    assert code == 0
+    intact = json.loads(out)["results"]
+
+    def crash(n):
+        raise ZeroDivisionError(f"injected at n = {n}")
+
+    monkeypatch.setattr(verify_module, "check_t_zero_at", crash)
+    code, out, err = run_main([*CRASH_SUITE, "--jobs", jobs])
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert len(results) == len(intact)
+    for got, want in zip(results, intact):
+        if want["name"] == "t-zero":
+            assert got == {"name": "t-zero", "scope": want["scope"], "passed": False,
+                           "witness": {"exception": "ZeroDivisionError",
+                                       "message": f"injected at n = {want['scope']['n']}"}}
+        else:
+            assert got == want
+    assert [r["name"] for r in results].count("t-zero") == 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_resource_cap_inside_a_check_still_exits_2(monkeypatch, jobs):
+    def capped(n):
+        raise ResourceLimitError(f"injected cap at n = {n}")
+
+    monkeypatch.setattr(verify_module, "check_t_zero_at", capped)
+    code, out, err = run_main([*CRASH_SUITE, "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: injected cap at n = ")
+
+
 def test_verify_json_no_timing_is_reproducible():
     argv = ["verify", "--suite", "example-n4,closed-form", "--n-max", "3",
             "--format", "json", "--no-timing"]
@@ -305,6 +350,24 @@ def test_out_writes_file(tmp_path):
     payload = json.loads(target.read_text())
     assert payload["command"] == "present"
     assert target.read_text().endswith("\n")
+
+
+def test_out_failed_replace_keeps_old_file(tmp_path, monkeypatch):
+    import hesscoh.cli as cli_module
+
+    target = tmp_path / "presentation.json"
+    target.write_text("old content\n")
+
+    def failing_replace(src, dst):
+        raise OSError("injected replace failure")
+
+    monkeypatch.setattr(cli_module.os, "replace", failing_replace)
+    code, out, err = run_main(["present", "--h", "2,2", "--format", "json",
+                               "--out", str(target)])
+    assert code == 74 and out == ""
+    assert err == "I/O error: injected replace failure\n"
+    assert target.read_text() == "old content\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["presentation.json"]
 
 
 def test_out_io_error_exit_code(tmp_path):
