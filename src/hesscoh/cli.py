@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -62,12 +63,18 @@ def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
-    # a temporary file beside the target, then os.replace: a failed write
-    # leaves the old target as it was
     target = Path(os.path.realpath(out_path))
+    if target.exists() and not target.is_file():
+        # a device, FIFO or terminal is written in place, never replaced
+        target.write_text(text)
+        return
+    # a regular file goes through a temporary file beside it and os.replace,
+    # so a failed write leaves the old target as it was
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
+        if target.exists():
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)

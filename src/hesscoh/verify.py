@@ -610,43 +610,53 @@ def _permutation_sweep(name: str, n_top: int) -> list[tuple]:
 class _Check(NamedTuple):
     expand: Callable[[_Sweep], list[tuple]]  # the payloads of its tasks
     run: Callable[..., list[CheckResult]]  # one task's payload -> its results
+    scope: Callable[..., dict]  # one task's payload -> the scope of its crash row
     control: Callable[[], dict | None] | None  # a mutation it must catch
+
+
+def _n_scope(n, *_) -> dict:
+    return {"n": n}
+
+
+def _h_scope(values, *_) -> dict:
+    return {"h": list(values), "n": len(values)}
 
 
 # Runners name the check_* functions inside a lambda, so they are looked
 # up at call time: rebinding the module attribute (a tracer, a test) reaches
 # every task.
 _CHECKS = {
-    "example-n4": _Check(lambda s: [()], lambda: [check_example_n4()], _control_example_n4),
+    "example-n4": _Check(lambda s: [()], lambda: [check_example_n4()],
+                         lambda: {"n": 4, "entries": 10}, _control_example_n4),
     "closed-form": _Check(lambda s: [(n,) for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
-                          lambda n: [check_closed_form_at(n)], _control_closed_form),
+                          lambda n: [check_closed_form_at(n)], _n_scope, _control_closed_form),
     "t-zero": _Check(lambda s: [(n,) for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
-                     lambda n: [check_t_zero_at(n)], _control_t_zero),
+                     lambda n: [check_t_zero_at(n)], _n_scope, _control_t_zero),
     "localization": _Check(
         lambda s: _permutation_sweep("localization", s.top(SYMBOLIC_CAP)),
         lambda values: [check_localization_vanishing(HessenbergFunction(values))],
-        _control_localization),
+        _h_scope, _control_localization),
     "fixed-point-exactness": _Check(
         lambda s: _permutation_sweep("fixed-point-exactness", s.top(EXACTNESS_CAP)),
         lambda values: [check_fixed_point_exactness(HessenbergFunction(values))],
-        _control_exactness),
+        _h_scope, _control_exactness),
     "peterson": _Check(
         lambda s: [(n, s.budget, s.cache) for n in range(2, s.gcap + 1)],
         lambda n, budget, cache: [check_peterson(n, pair_budget=budget, cache_dir=cache)],
-        _control_peterson),
+        lambda n, *_: {"n": n, "h": list(peterson_function(n).values)}, _control_peterson),
     "flag-borel": _Check(
         lambda s: [(n, s.gcap, min(EQUIVARIANT_FLAG_CAP, s.gcap), s.budget, s.cache)
                    for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
         lambda n, gcap, ecap, budget, cache: [check_flag_borel(
             n, groebner_cap=gcap, equivariant_cap=ecap, pair_budget=budget, cache_dir=cache)],
-        _control_flag_borel),
+        _n_scope, _control_flag_borel),
     "hilbert": _Check(
         lambda s: [(h.values, s.budget, s.cache)
                    for n in range(1, s.gcap + 1) for h in enumerate_all(n)],
         lambda values, budget, cache: [check_hilbert(
             HessenbergFunction(values), pair_budget=budget, cache_dir=cache)],
-        _control_hilbert),
-    "negative-controls": _Check(lambda s: [()], lambda: negative_controls(), None),
+        _h_scope, _control_hilbert),
+    "negative-controls": _Check(lambda s: [()], lambda: negative_controls(), dict, None),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -654,18 +664,16 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def _execute_task(task: tuple) -> list[CheckResult]:
     """Run one (name, payload) task.  A crash becomes one FAIL row whose
-    witness names the exception; only a resource cap propagates."""
+    witness names the exception; a resource cap (exit 2) and an I/O error
+    such as an unwritable cache dir (exit 74) propagate."""
     name, payload = task
+    check = _CHECKS[name]
     try:
-        return _CHECKS[name].run(*payload)
-    except ResourceLimitError:
+        return check.run(*payload)
+    except (ResourceLimitError, OSError):
         raise
     except Exception as exc:
-        scope = {}
-        if payload:  # the task's h (as a tuple of values) or n comes first
-            head = payload[0]
-            scope = {"h": list(head), "n": len(head)} if isinstance(head, tuple) else {"n": head}
-        return [CheckResult(name=name, scope=scope, passed=False,
+        return [CheckResult(name=name, scope=check.scope(*payload), passed=False,
                             witness={"exception": type(exc).__name__, "message": str(exc)})]
 
 

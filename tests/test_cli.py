@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import multiprocessing
+import os
+import stat
 
 import pytest
 
@@ -245,8 +248,14 @@ def test_verify_refuses_oversized_sweep_up_front():
 CRASH_SUITE = ["verify", "--suite", "closed-form,t-zero,localization,negative-controls",
                "--n-max", "3", "--format", "json", "--no-timing"]
 
+# a module attribute patched in the test process reaches pool workers only
+# when they are forked from it
+PATCHED_JOBS = ["1", pytest.param("2", marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched check only under the fork start method"))]
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+
+@pytest.mark.parametrize("jobs", PATCHED_JOBS)
 def test_verify_crashing_check_is_a_fail_row(monkeypatch, jobs):
     # also pins the registry's late binding: the patched module attribute
     # must reach every t-zero task, in worker processes too
@@ -272,7 +281,7 @@ def test_verify_crashing_check_is_a_fail_row(monkeypatch, jobs):
     assert [r["name"] for r in results].count("t-zero") == 3
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", PATCHED_JOBS)
 def test_verify_resource_cap_inside_a_check_still_exits_2(monkeypatch, jobs):
     def capped(n):
         raise ResourceLimitError(f"injected cap at n = {n}")
@@ -281,6 +290,17 @@ def test_verify_resource_cap_inside_a_check_still_exits_2(monkeypatch, jobs):
     code, out, err = run_main([*CRASH_SUITE, "--jobs", jobs])
     assert code == 2 and out == ""
     assert err.startswith("resource cap: injected cap at n = ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_unwritable_cache_dir_is_an_io_error(tmp_path, jobs):
+    # an I/O error inside a check is not a FAIL row: the run exits 74
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code, out, err = run_main(["verify", "--suite", "hilbert", "--groebner-n-max", "2",
+                               "--cache-dir", str(blocker / "cache"), "--jobs", jobs])
+    assert code == 74 and out == ""
+    assert err.startswith("I/O error:") and err.count("\n") == 1
 
 
 def test_verify_json_no_timing_is_reproducible():
@@ -368,6 +388,30 @@ def test_out_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     assert err == "I/O error: injected replace failure\n"
     assert target.read_text() == "old content\n"
     assert [p.name for p in tmp_path.iterdir()] == ["presentation.json"]
+
+
+def test_out_replace_keeps_file_mode(tmp_path):
+    target = tmp_path / "presentation.txt"
+    target.write_text("old content\n")
+    target.chmod(0o640)
+    code, _, _ = run_main(["present", "--h", "2,2", "--out", str(target)])
+    assert code == 0 and target.read_text().startswith("h: ")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_out_to_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open won't block
+    try:
+        code, out, err = run_main(["present", "--h", "2,2", "--out", str(fifo)])
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert code == 0 and out == "" and err == ""
+    assert received == run_main(["present", "--h", "2,2"])[1]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_out_io_error_exit_code(tmp_path):

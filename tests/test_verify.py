@@ -218,6 +218,34 @@ def test_run_suite_all_small_cap():
     assert names.issuperset({"example-n4", "closed-form", "hilbert", "negative"})
 
 
+CHECK_FUNCTIONS = {
+    "example-n4": "check_example_n4", "closed-form": "check_closed_form_at",
+    "t-zero": "check_t_zero_at", "localization": "check_localization_vanishing",
+    "fixed-point-exactness": "check_fixed_point_exactness", "peterson": "check_peterson",
+    "flag-borel": "check_flag_borel", "hilbert": "check_hilbert",
+}
+
+
+def test_crash_row_scope_is_the_checks_own(monkeypatch):
+    # every crash row names its task as the check itself would
+    names = list(CHECK_FUNCTIONS)
+    intact = run_suite(names, n_max=3, groebner_n_max=3).results
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    for function in CHECK_FUNCTIONS.values():
+        monkeypatch.setattr(verify_module, function, crash)
+    crashed = run_suite(names, n_max=3, groebner_n_max=3).results
+    assert len(crashed) == len(intact)
+    for got, want in zip(crashed, intact):
+        assert got.name == want.name and not got.passed
+        assert got.witness == {"exception": "RuntimeError", "message": "injected"}
+        assert got.scope.items() <= want.scope.items()
+        assert want.scope.keys() & {"n", "h"} <= got.scope.keys()
+        assert list(got.scope) == [k for k in want.scope if k in got.scope]
+
+
 def test_run_suite_deterministic_order():
     first = run_suite(["closed-form", "t-zero"], n_max=3)
     second = run_suite(["closed-form", "t-zero"], n_max=3)
