@@ -8,6 +8,7 @@ from .errors import (
     InvalidHessenbergError,
     NotZeroDimensionalError,
     ResourceLimitError,
+    WorkerCrashError,
 )
 from .generators import (
     GeneratorMatrix,
@@ -70,6 +71,7 @@ __all__ = [
     "PresentedIdeal",
     "ResourceLimitError",
     "VerificationReport",
+    "WorkerCrashError",
     "buchberger",
     "constant",
     "delta",

@@ -6,8 +6,8 @@ sense (present, generators).  All degrees in user-facing output use the
 cohomological convention, i.e. twice the internal weight.
 
 Exit codes: 0 success, 1 verification failure, 2 resource cap hit,
-64 usage error, 74 I/O error (an --out file or a cache entry could not
-be written).
+64 usage error, 70 a verify --jobs worker process died, 74 I/O error
+(an --out file or a cache entry could not be written).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from .errors import InvalidHessenbergError, ResourceLimitError
+from .errors import InvalidHessenbergError, ResourceLimitError, WorkerCrashError
 from .generators import generator_matrix, ideal_generators
 from .groebner import DEFAULT_PAIR_BUDGET, buchberger, hilbert_series
 from .hessenberg import (
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70  # sysexits EX_SOFTWARE
 EXIT_IO = 74  # sysexits EX_IOERR
 
 SCHEMA_VERSION = 1
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except WorkerCrashError as exc:
+        sys.stderr.write(f"worker crash: {exc}\n")
+        return EXIT_SOFTWARE
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO

@@ -31,6 +31,10 @@ class ResourceLimitError(HesscohError, RuntimeError):
     """A configured cap (enumeration size, S-pair budget, ...) was exceeded."""
 
 
+class WorkerCrashError(HesscohError, RuntimeError):
+    """A worker process of a parallel run died before returning its results."""
+
+
 class NotZeroDimensionalError(HesscohError, ValueError):
     """Quotient ring is not finite-dimensional, so no standard-monomial list.
 

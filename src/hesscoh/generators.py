@@ -19,8 +19,8 @@ The cohomology presentations are then
 packaged as PresentedIdeal.  Each f_{i,j} is homogeneous of weight
 i - j + 1 (cohomological degree 2(i - j + 1)).
 
-f_inductive and delta are memoized per (i, j, n); polynomials are
-immutable, so sharing cached values is safe.
+f_inductive, delta and f_ordinary are memoized per (i, j, n); polynomials
+are immutable, so sharing cached values is safe.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ def f_closed(i: int, j: int, n: int) -> Polynomial:
 def f_ordinary(i: int, j: int, n: int) -> Polynomial:
     """The t = 0 generator: sum_{k<=j} x_k prod_{l=j+1..i} (x_k - x_l)."""
     _check_indices(i, j, n)
+    return _f_ordinary(i, j, n)
+
+
+@lru_cache(maxsize=None)
+def _f_ordinary(i: int, j: int, n: int) -> Polynomial:
     acc = zero(n)
     for k in range(1, j + 1):
         term = x_var(k, n)

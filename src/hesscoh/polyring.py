@@ -119,8 +119,11 @@ class Polynomial:
         return self._terms.get(tuple(exponents), _ZERO)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical (grevlex, descending) order."""
-        return sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
+        """Terms in canonical (grevlex, descending) order.
+
+        Ascending (-degree, reversed exponents) is canonical_key descending.
+        """
+        return sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), kv[0][::-1]))
 
     # -- arithmetic ----------------------------------------------------
 

@@ -8,6 +8,8 @@ up to per-check caps: purely symbolic comparisons default to n <= 6
 and Groebner-backed comparisons to n <= 4.  One ordered registry, _CHECKS,
 maps each check name to its task expander, its runner and its negative
 control; a check that raises becomes a FAIL row with an exception witness.
+With jobs > 1 the tasks run in a process pool, imported only then; a
+worker that dies raises WorkerCrashError.
 
 negative_controls() re-runs each comparison on deliberately corrupted
 input and passes only when the corruption is caught with a concrete
@@ -19,14 +21,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, permutations
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, WorkerCrashError
 from .generators import (
     f_closed,
     f_inductive,
@@ -703,9 +704,15 @@ def run_suite(
     start = time.perf_counter()
     results: list[CheckResult] = []
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_execute_task, tasks):
-                results.extend(batch)
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                for batch in pool.map(_execute_task, tasks):
+                    results.extend(batch)
+        except BrokenProcessPool as exc:
+            raise WorkerCrashError(str(exc)) from exc
     else:
         for task in tasks:
             results.extend(_execute_task(task))

@@ -8,9 +8,13 @@ import json
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hesscoh
 import hesscoh.verify as verify_module
 from hesscoh.cli import main
 from hesscoh.errors import ResourceLimitError
@@ -290,6 +294,32 @@ def test_verify_resource_cap_inside_a_check_still_exits_2(monkeypatch, jobs):
     code, out, err = run_main([*CRASH_SUITE, "--jobs", jobs])
     assert code == 2 and out == ""
     assert err.startswith("resource cap: injected cap at n = ")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched check only under the fork start method")
+def test_verify_dead_worker_exits_70(monkeypatch):
+    # a worker that dies takes its results with it: not a FAIL row, exit 70
+    def die(n):
+        os._exit(3)
+
+    monkeypatch.setattr(verify_module, "check_t_zero_at", die)
+    code, out, err = run_main([*CRASH_SUITE, "--jobs", "2"])
+    assert code == 70 and out == ""
+    assert err.startswith("worker crash:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", ["hesscoh", "hesscoh.cli"])
+def test_import_loads_no_process_pool(module):
+    # the pool modules are imported only by a verify --jobs > 1 run
+    probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = str(Path(hesscoh.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -92,6 +92,35 @@ def test_f_ordinary_literal():
     assert f_ordinary(3, 3, n) == x_var(1, n) + x_var(2, n) + x_var(3, n)
 
 
+def _f_ordinary_by_product(i, j, n):
+    """Reference for f_ordinary: the product formula, built afresh on every call."""
+    acc = zero(n)
+    for k in range(1, j + 1):
+        term = x_var(k, n)
+        for l in range(j + 1, i + 1):
+            term = term * (x_var(k, n) - x_var(l, n))
+        acc = acc + term
+    return acc
+
+
+def test_f_ordinary_memo_matches_product_formula():
+    for n in range(1, 7):
+        for i in range(n + 1):
+            for j in range(i + 1):
+                want = _f_ordinary_by_product(i, j, n)
+                assert f_ordinary(i, j, n) == want
+                assert f_ordinary(i, j, n) == want  # repeat call, served by the memo
+
+
+def test_f_ordinary_validates_indices_with_a_warm_memo():
+    f_ordinary(3, 2, 4)
+    # 3.0 hashes and compares like 3, so only the validation in front of
+    # the memo keeps it from returning the cached (3, 2, 4) entry
+    for bad in [(3.0, 2, 4), (2, 3, 4), (5, 1, 4), (1, -1, 4), (3, 2, 0)]:
+        with pytest.raises(ValueError):
+            f_ordinary(*bad)
+
+
 def test_homogeneity_and_weight():
     for n in range(1, 7):
         for i in range(1, n + 1):

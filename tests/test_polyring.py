@@ -228,9 +228,9 @@ def _bounded_fraction():
     return st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
-def _polys(n: int = 2):
+def _polys(n: int = 2, max_size: int = 4):
     mono = st.tuples(*(st.integers(0, 2) for _ in range(n + 1)))
-    return st.lists(st.tuples(mono, _bounded_fraction()), max_size=4).map(
+    return st.lists(st.tuples(mono, _bounded_fraction()), max_size=max_size).map(
         lambda ts: Polynomial(n, ts)
     )
 
@@ -245,3 +245,10 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + zero(a.n) == a
     assert a * one(a.n) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _polys(n, max_size=12)))
+def test_sorted_terms_is_canonical_key_descending(p):
+    want = sorted(p.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
+    assert p.sorted_terms() == want
