@@ -198,11 +198,11 @@ def _cache_dir(args) -> str | None:
 
 def _cmd_hilbert(args) -> int:
     h = parse_hessenberg(args.h)
+    count = len(fixed_points(h))  # before the Groebner work, so a cap refuses it up front
     ideal = ideal_generators(h, args.mode)
     gb = buchberger(ideal.generators, pair_budget=args.pair_budget, cache_dir=_cache_dir(args))
     data = hilbert_series(gb)
     dimension = "infinite" if data.quotient_dimension is None else data.quotient_dimension
-    count = len(fixed_points(h))
     text = _poincare_text(data.series, data.denominator_power)
     if args.format == "text":
         lines = [
@@ -235,19 +235,9 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = "all"
-    else:
-        names = [part.strip() for part in args.suite.split(",") if part.strip()]
-        unknown = [name for name in names if name not in CHECK_NAMES]
-        if unknown:
-            sys.stderr.write(
-                f"unknown check(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}\n"
-            )
-            return EXIT_USAGE
-        if not names:
-            sys.stderr.write("empty --suite\n")
-            return EXIT_USAGE
+    names = args.suite
+    if names != "all":
+        names = [part.strip() for part in names.split(",") if part.strip()]
     report = run_suite(
         names,
         n_max=args.n_max,

@@ -105,21 +105,12 @@ def enumerate_all(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Hessenberg
         raise ResourceLimitError(
             f"enumerating Hessenberg functions for n = {n} exceeds the cap {cap}"
         )
-    out: list[HessenbergFunction] = []
-    values: list[int] = []
-
-    def extend(i: int) -> None:
-        if i > n:
-            out.append(HessenbergFunction(tuple(values)))
-            return
-        lo = max(i, values[-1] if values else 1)
-        for v in range(lo, n + 1):
-            values.append(v)
-            extend(i + 1)
-            values.pop()
-
-    extend(1)
-    return out
+    prefixes: list[tuple[int, ...]] = [()]
+    for i in range(1, n + 1):
+        # each prefix grows in increasing order of its new value, so the
+        # list stays in lexicographic order
+        prefixes = [p + (v,) for p in prefixes for v in range(max(i, p[-1]) if p else 1, n + 1)]
+    return [HessenbergFunction(p) for p in prefixes]
 
 
 def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> list[Permutation]:

@@ -6,10 +6,14 @@ actionable.  run_suite sweeps the checks over all Hessenberg functions
 up to per-check caps: purely symbolic comparisons default to n <= 6
 (exactness to n <= 5, its exhaustive S_n scan being the expensive one)
 and Groebner-backed comparisons to n <= 4.  One ordered registry, _CHECKS,
-maps each check name to its task expander, its runner and its negative
-control; a check that raises becomes a FAIL row with an exception witness.
-With jobs > 1 the tasks run in a process pool, imported only then; a
-worker that dies raises WorkerCrashError.
+maps each check name to its task expander, its runner, its crash-row
+scope and its negative control; with the scope helpers (_n_scope,
+_h_scope, ...) it is the only place that knows a task payload's layout
+and a row's scope.  run_suite refuses unknown names, an empty suite and a
+sweep past a cap before any check runs; a check that raises becomes a
+FAIL row with an exception witness.  With jobs > 1 the tasks run in a
+process pool, imported only then; a worker that dies raises
+WorkerCrashError.
 
 negative_controls() re-runs each comparison on deliberately corrupted
 input and passes only when the corruption is caught with a concrete
@@ -22,7 +26,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from itertools import combinations, permutations
 from math import factorial, prod
 from typing import NamedTuple
@@ -64,13 +68,17 @@ EQUIVARIANT_FLAG_CAP = 3
 
 @dataclass
 class CheckResult:
+    """One report row; passed defaults to witness is None."""
+
     name: str
     scope: dict
-    passed: bool
+    passed: bool | None = None
     witness: dict | None = None
     elapsed: float = 0.0
 
     def __post_init__(self):
+        if self.passed is None:
+            self.passed = self.witness is None
         if not self.passed and self.witness is None:
             raise ValueError(f"failed check {self.name} must carry a witness")
 
@@ -126,15 +134,36 @@ def _scope_text(value) -> str:
     return str(value)
 
 
-def _timed(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.elapsed = time.perf_counter() - start
-        return result
+def _check(name: str):
+    """Turn a check body returning (scope, witness) into a timed runner
+    returning the CheckResult called name; the witness is None on a pass."""
 
-    return wrapper
+    def decorate(body):
+        @wraps(body)
+        def run(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            scope, witness = body(*args, **kwargs)
+            return CheckResult(name, scope, witness=witness, elapsed=time.perf_counter() - start)
+
+        return run
+
+    return decorate
+
+
+def _n_scope(n: int) -> dict:
+    return {"n": n}
+
+
+def _h_scope(values) -> dict:
+    return {"h": list(values), "n": len(values)}
+
+
+def _example_n4_scope() -> dict:
+    return {"n": 4, "entries": 10}
+
+
+def _peterson_scope(n: int) -> dict:
+    return {"n": n, "h": list(peterson_function(n).values)}
 
 
 # -- the n = 4 worked example -------------------------------------------
@@ -181,42 +210,28 @@ def _compare_table(expected: dict[tuple[int, int], Polynomial]) -> dict | None:
                              lambda i, j: expected[i, j])
 
 
-@_timed
-def check_example_n4() -> CheckResult:
+@_check("example-n4")
+def check_example_n4():
     """All ten n = 4 recursion values against their factored displays."""
-    witness = _compare_table(_example_table_n4())
-    return CheckResult(
-        name="example-n4", scope={"n": 4, "entries": 10}, passed=witness is None,
-        witness=witness,
-    )
+    return _example_n4_scope(), _compare_table(_example_table_n4())
 
 
 # -- symbolic sweeps -----------------------------------------------------
 
 
-@_timed
-def check_closed_form_at(n: int) -> CheckResult:
+@_check("closed-form")
+def check_closed_form_at(n: int):
     """f_inductive == f_closed for every 1 <= j <= i <= n."""
-    witness = _first_difference(_triangle(n), lambda i, j: f_inductive(i, j, n),
-                                lambda i, j: f_closed(i, j, n))
-    return CheckResult(name="closed-form", scope={"n": n}, passed=witness is None,
-                       witness=witness)
+    return _n_scope(n), _first_difference(_triangle(n), lambda i, j: f_inductive(i, j, n),
+                                          lambda i, j: f_closed(i, j, n))
 
 
-def check_closed_form(n_max: int) -> list[CheckResult]:
-    return [check_closed_form_at(n) for n in range(1, n_max + 1)]
-
-
-@_timed
-def check_t_zero_at(n: int) -> CheckResult:
+@_check("t-zero")
+def check_t_zero_at(n: int):
     """substitute(f_inductive, t -> 0) == f_ordinary for every (i, j)."""
-    witness = _first_difference(_triangle(n), lambda i, j: f_inductive(i, j, n).substitute(t=0),
-                                lambda i, j: f_ordinary(i, j, n))
-    return CheckResult(name="t-zero", scope={"n": n}, passed=witness is None, witness=witness)
-
-
-def check_t_zero(n_max: int) -> list[CheckResult]:
-    return [check_t_zero_at(n) for n in range(1, n_max + 1)]
+    return _n_scope(n), _first_difference(
+        _triangle(n), lambda i, j: f_inductive(i, j, n).substitute(t=0),
+        lambda i, j: f_ordinary(i, j, n))
 
 
 def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]:
@@ -256,54 +271,42 @@ def _vanishing_witness(h: HessenbergFunction, w, integer_generators) -> dict | N
     return None
 
 
-@_timed
-def check_localization_vanishing(h: HessenbergFunction) -> CheckResult:
+@_check("localization")
+def check_localization_vanishing(h: HessenbergFunction):
     """Every generator of I(h) dies at every S^1-fixed point of Hess(h), and
     there are prod_j (h(j) - j + 1) of them: the Euler characteristic,
     by Tymoczko's affine paving, i.e. the Poincare polynomial at q = 1."""
     gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     points = fixed_points(h)
-    scope = {"h": list(h.values), "n": h.n}
+    scope = _h_scope(h.values)
     expected = sum(poincare_product(h))
     if len(points) != expected:
-        return CheckResult(
-            name="localization", scope=scope, passed=False,
-            witness={"part": "fixed-point-count", "expected": expected, "count": len(points)},
-        )
+        return scope, {"part": "fixed-point-count", "expected": expected, "count": len(points)}
     for w in points:
         witness = _vanishing_witness(h, w, gens)
         if witness is not None:
-            return CheckResult(name="localization", scope=scope, passed=False, witness=witness)
+            return scope, witness
     scope["fixedPoints"] = len(points)
-    return CheckResult(name="localization", scope=scope, passed=True)
+    return scope, None
 
 
-@_timed
-def check_fixed_point_exactness(h: HessenbergFunction) -> CheckResult:
+@_check("fixed-point-exactness")
+def check_fixed_point_exactness(h: HessenbergFunction):
     """w kills all generators of I(h)  <=>  w is a fixed point of Hess(h)."""
     gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     fixed = set(fixed_points(h))
-    n = h.n
-    for w in permutations(range(1, n + 1)):
+    scope = _h_scope(h.values)
+    for w in permutations(range(1, h.n + 1)):
         witness = _vanishing_witness(h, w, gens)
         vanishes = witness is None
         member = w in fixed
         if vanishes and not member:
-            return CheckResult(
-                name="fixed-point-exactness", scope={"h": list(h.values), "n": n},
-                passed=False,
-                witness={"w": list(w), "problem": "vanishes but not a fixed point"},
-            )
+            return scope, {"w": list(w), "problem": "vanishes but not a fixed point"}
         if member and not vanishes:
             witness["problem"] = "fixed point with a surviving generator"
-            return CheckResult(
-                name="fixed-point-exactness", scope={"h": list(h.values), "n": n},
-                passed=False, witness=witness,
-            )
-    return CheckResult(
-        name="fixed-point-exactness",
-        scope={"h": list(h.values), "n": n, "fixedPoints": len(fixed)}, passed=True,
-    )
+            return scope, witness
+    scope["fixedPoints"] = len(fixed)
+    return scope, None
 
 
 # -- Groebner-backed checks ----------------------------------------------
@@ -315,9 +318,8 @@ def _peterson_presentation(n: int) -> list[Polynomial]:
     return gens
 
 
-@_timed
-def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET,
-                   cache_dir=None) -> CheckResult:
+@_check("peterson")
+def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=None):
     """Peterson case h = (2,3,...,n,n): the p-coefficient rewriting.
 
     Termwise: x_j - x_{j+1} - t = -p_{j-1} + 2p_j - p_{j+1} - 2t and the
@@ -326,30 +328,23 @@ def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET,
     """
     if n < 2:
         raise ValueError("the Peterson case needs n >= 2")
-    scope = {"n": n, "h": list(peterson_function(n).values)}
+    scope = _peterson_scope(n)
     for j in range(1, n):
         factor = peterson_rewrite_factor(j, n)
         direct = linear_factor(j, j + 1, n)
         if factor != direct:
-            return CheckResult(
-                name="peterson", scope=scope, passed=False,
-                witness={"part": "factor-identity", "j": j,
-                         "difference": poly_to_dict(factor - direct)},
-            )
+            return scope, {"part": "factor-identity", "j": j,
+                           "difference": poly_to_dict(factor - direct)}
         step = f_inductive(j, j - 1, n) + factor * p_sum(j, n)
         if f_inductive(j + 1, j, n) != step:
-            return CheckResult(
-                name="peterson", scope=scope, passed=False,
-                witness={"part": "recursion-step", "j": j,
-                         "difference": poly_to_dict(f_inductive(j + 1, j, n) - step)},
-            )
+            return scope, {"part": "recursion-step", "j": j,
+                           "difference": poly_to_dict(f_inductive(j + 1, j, n) - step)}
     gens = ideal_generators(peterson_function(n), "equivariant").generators
     witness = ideal_equality_witness(list(gens), _peterson_presentation(n),
                                      pair_budget=pair_budget, cache_dir=cache_dir)
     if witness is not None:
         witness["part"] = "ideal-equality"
-        return CheckResult(name="peterson", scope=scope, passed=False, witness=witness)
-    return CheckResult(name="peterson", scope=scope, passed=True)
+    return scope, witness
 
 
 def _scaled_borel_generators(n: int) -> list[Polynomial]:
@@ -362,40 +357,29 @@ def _scaled_borel_generators(n: int) -> list[Polynomial]:
     return out
 
 
-@_timed
-def check_flag_borel(
-    n: int,
-    groebner_cap: int = GROEBNER_CAP,
-    equivariant_cap: int = EQUIVARIANT_FLAG_CAP,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    cache_dir=None,
-) -> CheckResult:
+@_check("flag-borel")
+def check_flag_borel(n: int, groebner_cap: int = GROEBNER_CAP,
+                     pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=None):
     """Flag case h = (n,...,n): q_r identities, Borel presentation, dim n!.
 
     The termwise parts always run; the Groebner-backed parts run when n
-    is within their caps (anything larger is out of desk scale).
+    is within groebner_cap, the equivariant one also within
+    EQUIVARIANT_FLAG_CAP (anything larger is out of desk scale).
     """
-    scope: dict = {"n": n}
+    scope = _n_scope(n)
     for r in range(1, n + 1):
         q = q_flag(r, n)
         direct = f_ordinary(n, n + 1 - r, n)
         if q != direct:
-            return CheckResult(
-                name="flag-borel", scope=scope, passed=False,
-                witness={"part": "q-equals-f", "r": r,
-                         "difference": poly_to_dict(q - direct)},
-            )
+            return scope, {"part": "q-equals-f", "r": r, "difference": poly_to_dict(q - direct)}
         tail = range(n + 2 - r, n + 1)
         newton = sum(
             ((-1) ** i) * elementary_symmetric(i, tail, n) * power_sum(r - i, n)
             for i in range(r)
         )
         if q != newton:
-            return CheckResult(
-                name="flag-borel", scope=scope, passed=False,
-                witness={"part": "newton-expansion", "r": r,
-                         "difference": poly_to_dict(q - newton)},
-            )
+            return scope, {"part": "newton-expansion", "r": r,
+                           "difference": poly_to_dict(q - newton)}
     parts = ["q-equals-f", "newton-expansion"]
     if n <= groebner_cap:
         flag = flag_function(n)
@@ -406,27 +390,24 @@ def check_flag_borel(
         witness = basis_equality_witness(ordinary, gb, borel, gb_borel)
         if witness is not None:
             witness["part"] = "borel-equality"
-            return CheckResult(name="flag-borel", scope=scope, passed=False, witness=witness)
+            return scope, witness
         dim = hilbert_series(gb).quotient_dimension
         std = len(standard_monomials(gb))
         if dim != factorial(n) or std != factorial(n):
-            return CheckResult(
-                name="flag-borel", scope=scope, passed=False,
-                witness={"part": "dimension", "expected": factorial(n),
-                         "dimension": dim, "standardMonomials": std},
-            )
+            return scope, {"part": "dimension", "expected": factorial(n),
+                           "dimension": dim, "standardMonomials": std}
         parts += ["borel-equality", "dimension"]
         scope["dimension"] = dim
-    if n <= equivariant_cap:
+    if n <= min(EQUIVARIANT_FLAG_CAP, groebner_cap):
         equivariant = list(ideal_generators(flag_function(n), "equivariant").generators)
         witness = ideal_equality_witness(equivariant, _scaled_borel_generators(n),
                                          pair_budget=pair_budget, cache_dir=cache_dir)
         if witness is not None:
             witness["part"] = "equivariant-borel-equality"
-            return CheckResult(name="flag-borel", scope=scope, passed=False, witness=witness)
+            return scope, witness
         parts.append("equivariant-borel-equality")
     scope["parts"] = parts
-    return CheckResult(name="flag-borel", scope=scope, passed=True)
+    return scope, None
 
 
 def poincare_product(h: HessenbergFunction) -> list[int]:
@@ -442,13 +423,11 @@ def poincare_product(h: HessenbergFunction) -> list[int]:
     return out
 
 
-@_timed
-def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET,
-                  cache_dir=None) -> CheckResult:
+@_check("hilbert")
+def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=None):
     """Hilbert series of both presentations of Hess(h) against the product
     formula; the fixed-point count is reported but never asserted."""
-    n = h.n
-    scope: dict = {"h": list(h.values), "n": n}
+    scope = _h_scope(h.values)
     expected = poincare_product(h)
     expected_dim = sum(expected)
 
@@ -456,34 +435,25 @@ def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET,
     gb = buchberger(ordinary, pair_budget=pair_budget, cache_dir=cache_dir)
     data = hilbert_series(gb)
     if list(data.series) != expected or data.quotient_dimension != expected_dim:
-        return CheckResult(
-            name="hilbert", scope=scope, passed=False,
-            witness={"part": "ordinary-series", "expected": expected,
-                     "series": list(data.series), "expectedDimension": expected_dim,
-                     "dimension": data.quotient_dimension},
-        )
+        return scope, {"part": "ordinary-series", "expected": expected,
+                       "series": list(data.series), "expectedDimension": expected_dim,
+                       "dimension": data.quotient_dimension}
     std = len(standard_monomials(gb))
     if std != expected_dim:
-        return CheckResult(
-            name="hilbert", scope=scope, passed=False,
-            witness={"part": "standard-monomials", "expected": expected_dim, "count": std},
-        )
+        return scope, {"part": "standard-monomials", "expected": expected_dim, "count": std}
 
     equivariant = ideal_generators(h, "equivariant").generators
     gb_eq = buchberger(equivariant, pair_budget=pair_budget, cache_dir=cache_dir)
     data_eq = hilbert_series(gb_eq)
     if data_eq.denominator_power != 1 or list(data_eq.series) != expected:
-        return CheckResult(
-            name="hilbert", scope=scope, passed=False,
-            witness={"part": "equivariant-series", "expected": expected,
-                     "series": list(data_eq.series),
-                     "denominatorPower": data_eq.denominator_power},
-        )
+        return scope, {"part": "equivariant-series", "expected": expected,
+                       "series": list(data_eq.series),
+                       "denominatorPower": data_eq.denominator_power}
     scope.update({
         "dimension": expected_dim,
         "fixedPointCount": len(fixed_points(h)),  # reported, not asserted
     })
-    return CheckResult(name="hilbert", scope=scope, passed=True)
+    return scope, None
 
 
 # -- negative controls ----------------------------------------------------
@@ -572,14 +542,12 @@ def negative_controls() -> list[CheckResult]:
             continue
         start = time.perf_counter()
         caught = check.control()
-        result = CheckResult(
-            name=f"negative:{target}",
-            scope={"mutation": "caught" if caught else "NOT caught", "witness": caught},
-            passed=caught is not None,
+        out.append(CheckResult(
+            f"negative:{target}",
+            {"mutation": "caught" if caught else "NOT caught", "witness": caught},
             witness=None if caught is not None else {"problem": "mutation slipped through"},
-        )
-        result.elapsed = time.perf_counter() - start
-        out.append(result)
+            elapsed=time.perf_counter() - start,
+        ))
     return out
 
 
@@ -610,71 +578,65 @@ def _permutation_sweep(name: str, n_top: int) -> list[tuple]:
 
 class _Check(NamedTuple):
     expand: Callable[[_Sweep], list[tuple]]  # the payloads of its tasks
-    run: Callable[..., list[CheckResult]]  # one task's payload -> its results
+    run: Callable[..., list[CheckResult]]  # (sweep, *payload) -> its results
     scope: Callable[..., dict]  # one task's payload -> the scope of its crash row
     control: Callable[[], dict | None] | None  # a mutation it must catch
 
 
-def _n_scope(n, *_) -> dict:
-    return {"n": n}
-
-
-def _h_scope(values, *_) -> dict:
-    return {"h": list(values), "n": len(values)}
+def _n_sweep(sweep: _Sweep) -> list[tuple]:
+    return [(n,) for n in range(1, sweep.top(SYMBOLIC_CAP) + 1)]
 
 
 # Runners name the check_* functions inside a lambda, so they are looked
 # up at call time: rebinding the module attribute (a tracer, a test) reaches
 # every task.
 _CHECKS = {
-    "example-n4": _Check(lambda s: [()], lambda: [check_example_n4()],
-                         lambda: {"n": 4, "entries": 10}, _control_example_n4),
-    "closed-form": _Check(lambda s: [(n,) for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
-                          lambda n: [check_closed_form_at(n)], _n_scope, _control_closed_form),
-    "t-zero": _Check(lambda s: [(n,) for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
-                     lambda n: [check_t_zero_at(n)], _n_scope, _control_t_zero),
+    "example-n4": _Check(lambda s: [()], lambda s: [check_example_n4()],
+                         _example_n4_scope, _control_example_n4),
+    "closed-form": _Check(_n_sweep, lambda s, n: [check_closed_form_at(n)], _n_scope,
+                          _control_closed_form),
+    "t-zero": _Check(_n_sweep, lambda s, n: [check_t_zero_at(n)], _n_scope, _control_t_zero),
     "localization": _Check(
         lambda s: _permutation_sweep("localization", s.top(SYMBOLIC_CAP)),
-        lambda values: [check_localization_vanishing(HessenbergFunction(values))],
+        lambda s, values: [check_localization_vanishing(HessenbergFunction(values))],
         _h_scope, _control_localization),
     "fixed-point-exactness": _Check(
         lambda s: _permutation_sweep("fixed-point-exactness", s.top(EXACTNESS_CAP)),
-        lambda values: [check_fixed_point_exactness(HessenbergFunction(values))],
+        lambda s, values: [check_fixed_point_exactness(HessenbergFunction(values))],
         _h_scope, _control_exactness),
     "peterson": _Check(
-        lambda s: [(n, s.budget, s.cache) for n in range(2, s.gcap + 1)],
-        lambda n, budget, cache: [check_peterson(n, pair_budget=budget, cache_dir=cache)],
-        lambda n, *_: {"n": n, "h": list(peterson_function(n).values)}, _control_peterson),
+        lambda s: [(n,) for n in range(2, s.gcap + 1)],
+        lambda s, n: [check_peterson(n, pair_budget=s.budget, cache_dir=s.cache)],
+        _peterson_scope, _control_peterson),
     "flag-borel": _Check(
-        lambda s: [(n, s.gcap, min(EQUIVARIANT_FLAG_CAP, s.gcap), s.budget, s.cache)
-                   for n in range(1, s.top(SYMBOLIC_CAP) + 1)],
-        lambda n, gcap, ecap, budget, cache: [check_flag_borel(
-            n, groebner_cap=gcap, equivariant_cap=ecap, pair_budget=budget, cache_dir=cache)],
+        _n_sweep,
+        lambda s, n: [check_flag_borel(n, groebner_cap=s.gcap, pair_budget=s.budget,
+                                       cache_dir=s.cache)],
         _n_scope, _control_flag_borel),
+    # each row reports a fixed-point count, so the sweep stops at the permutation cap
     "hilbert": _Check(
-        lambda s: [(h.values, s.budget, s.cache)
-                   for n in range(1, s.gcap + 1) for h in enumerate_all(n)],
-        lambda values, budget, cache: [check_hilbert(
-            HessenbergFunction(values), pair_budget=budget, cache_dir=cache)],
+        lambda s: _permutation_sweep("hilbert", s.gcap),
+        lambda s, values: [check_hilbert(HessenbergFunction(values), pair_budget=s.budget,
+                                         cache_dir=s.cache)],
         _h_scope, _control_hilbert),
-    "negative-controls": _Check(lambda s: [()], lambda: negative_controls(), dict, None),
+    "negative-controls": _Check(lambda s: [()], lambda s: negative_controls(), dict, None),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def _execute_task(task: tuple) -> list[CheckResult]:
-    """Run one (name, payload) task.  A crash becomes one FAIL row whose
-    witness names the exception; a resource cap (exit 2) and an I/O error
-    such as an unwritable cache dir (exit 74) propagate."""
+def _execute_task(sweep: _Sweep, task: tuple) -> list[CheckResult]:
+    """Run one (name, payload) task under sweep's settings.  A crash becomes
+    one FAIL row whose witness names the exception; a resource cap (exit 2)
+    and an I/O error such as an unwritable cache dir (exit 74) propagate."""
     name, payload = task
     check = _CHECKS[name]
     try:
-        return check.run(*payload)
+        return check.run(sweep, *payload)
     except (ResourceLimitError, OSError):
         raise
     except Exception as exc:
-        return [CheckResult(name=name, scope=check.scope(*payload), passed=False,
+        return [CheckResult(name, check.scope(*payload),
                             witness={"exception": type(exc).__name__, "message": str(exc)})]
 
 
@@ -688,16 +650,17 @@ def run_suite(
 ) -> VerificationReport:
     """Run the named checks (or all of them) and collect a report.
 
+    Unknown names and an empty list are refused with ValueError, and a
+    sweep past a cap with ResourceLimitError, before any check runs.
     Results come back in a deterministic order regardless of jobs; only
     the elapsed fields vary between runs.
     """
-    if names == "all":
-        selected = list(CHECK_NAMES)
-    else:
-        selected = list(names)
-        for name in selected:
-            if name not in _CHECKS:
-                raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    selected = list(CHECK_NAMES if names == "all" else names)
+    unknown = [name for name in selected if name not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
+    if not selected:
+        raise ValueError("empty suite: name at least one check")
     sweep = _Sweep(n_max, groebner_n_max if groebner_n_max is not None else GROEBNER_CAP,
                    pair_budget, str(cache_dir) if cache_dir is not None else None)
     tasks = [(name, payload) for name in selected for payload in _CHECKS[name].expand(sweep)]
@@ -709,11 +672,11 @@ def run_suite(
 
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for batch in pool.map(_execute_task, tasks):
+                for batch in pool.map(partial(_execute_task, sweep), tasks):
                     results.extend(batch)
         except BrokenProcessPool as exc:
             raise WorkerCrashError(str(exc)) from exc
     else:
         for task in tasks:
-            results.extend(_execute_task(task))
+            results.extend(_execute_task(sweep, task))
     return VerificationReport(results=results, elapsed=time.perf_counter() - start)

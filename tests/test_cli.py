@@ -201,6 +201,18 @@ def test_hilbert_json():
     assert payload["fixedPointCount"] == 6
 
 
+def test_hilbert_refuses_past_the_permutation_cap_before_groebner_work(monkeypatch):
+    import hesscoh.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("buchberger ran for an h the cap refuses")
+
+    monkeypatch.setattr(cli_module, "buchberger", never)
+    code, out, err = run_main(["hilbert", "--h", "1,2,3,4,5,6,7,8"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap:") and err.count("\n") == 1
+
+
 def test_hilbert_cache_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HESSCOH_CACHE_DIR", str(tmp_path))
     code, _, _ = run_main(["hilbert", "--h", "2,3,3"])
@@ -247,6 +259,20 @@ def test_verify_refuses_oversized_sweep_up_front():
         code, out, err = run_main(["verify", "--suite", suite, "--n-max", "8"])
         assert code == 2 and out == ""
         assert err.startswith("resource cap:")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_refuses_oversized_hilbert_sweep_up_front(monkeypatch, jobs):
+    # hilbert rows report a fixed-point count, so n = 8 is refused before
+    # any task runs; a task that did run would print a crash row
+    def crash(*args, **kwargs):
+        raise RuntimeError("a hilbert task ran")
+
+    monkeypatch.setattr(verify_module, "check_hilbert", crash)
+    code, out, err = run_main(["verify", "--suite", "hilbert", "--groebner-n-max", "8",
+                               "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap:") and err.count("\n") == 1
 
 
 CRASH_SUITE = ["verify", "--suite", "closed-form,t-zero,localization,negative-controls",

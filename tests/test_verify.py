@@ -15,7 +15,6 @@ from hesscoh.verify import (
     CHECK_NAMES,
     CheckResult,
     VerificationReport,
-    check_closed_form,
     check_closed_form_at,
     check_example_n4,
     check_fixed_point_exactness,
@@ -42,7 +41,7 @@ def test_example_n4_passes():
 
 def test_closed_form_checks():
     assert check_closed_form_at(4).passed
-    results = check_closed_form(3)
+    results = [check_closed_form_at(n) for n in range(1, 4)]
     assert [r.scope["n"] for r in results] == [1, 2, 3]
     assert all(r.passed and r.name == "closed-form" for r in results)
 
@@ -205,6 +204,13 @@ def test_run_suite_single_check():
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown check"):
         run_suite(["nonsense"])
+
+
+def test_run_suite_names_every_unknown_check_and_refuses_an_empty_suite():
+    with pytest.raises(ValueError, match=r"unknown check\(s\): nonsense, bogus; known: "):
+        run_suite(["nonsense", "example-n4", "bogus"])
+    with pytest.raises(ValueError, match="empty suite"):
+        run_suite([])
 
 
 def test_run_suite_all_small_cap():
