@@ -106,6 +106,22 @@ def test_exactness_check():
     assert minimal.passed and minimal.scope["fixedPoints"] == 1
 
 
+@pytest.mark.parametrize("tamper, witness", [
+    (lambda points: points[1:],
+     {"w": [1, 2, 3], "problem": "vanishes but not a fixed point"}),
+    (lambda points: [*points, (2, 3, 1)],
+     {"w": [2, 3, 1], "j": 1, "residue": {"n": 3, "terms": [{"x": [0, 0, 0], "t": 2, "c": "-2/1"}]},
+      "problem": "fixed point with a surviving generator"}),
+], ids=["fixed-point-dropped", "non-fixed-point-added"])
+def test_exactness_catches_both_directions(monkeypatch, tamper, witness):
+    h = parse_hessenberg((2, 3, 3))
+    monkeypatch.setattr(verify_module, "fixed_points", lambda h: tamper(fixed_points(h)))
+    result = check_fixed_point_exactness(h)
+    assert not result.passed
+    assert result.scope == {"h": [2, 3, 3], "n": 3}
+    assert result.witness == witness
+
+
 def test_peterson_check():
     result = check_peterson(3)
     assert result.passed

@@ -1,10 +1,11 @@
-"""Exact bytes of the default `verify` report without timings.
+"""Exact bytes of `verify` reports without timings.
 
-tests/verify_golden.json maps each format to the sha256 of what
-`hesscoh verify --format FORMAT --no-timing` printed when the fixture was
-recorded.  A refactor of the checks, the registry or the suite driver
-must reproduce both byte for byte.  To re-record after an intended
-output change:
+tests/verify_golden.json maps each named run below to the sha256 of what
+`hesscoh` printed for its arguments when the fixture was recorded: the
+default suite in both formats, and the two permutation sweeps past their
+default scale (exactness is n <= 5 by default, here n <= 6).  A refactor
+of the checks, the registry or the suite driver must reproduce them byte
+for byte.  To re-record after an intended output change:
 
     PYTHONPATH=src python -c "import tests.test_verify_golden as g; g.record()"
 """
@@ -24,19 +25,34 @@ from hesscoh.cli import main
 FIXTURE = Path(__file__).with_name("verify_golden.json")
 
 FORMATS = ("json", "text")
+SWEEPS_N6 = "permutation-sweeps-n6-json"
+
+RUNS = {
+    **{fmt: ["verify", "--format", fmt, "--no-timing"] for fmt in FORMATS},
+    SWEEPS_N6: ["verify", "--suite", "localization,fixed-point-exactness", "--n-max", "6",
+                "--format", "json", "--no-timing"],
+}
 
 
-def digest(fmt: str) -> str:
+def digest(run: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["verify", "--format", fmt, "--no-timing"]) == 0
+        assert main(RUNS[run]) == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def record() -> None:
-    FIXTURE.write_text(json.dumps({fmt: digest(fmt) for fmt in FORMATS}, indent=1) + "\n")
+    FIXTURE.write_text(json.dumps({run: digest(run) for run in RUNS}, indent=1) + "\n")
+
+
+def recorded(run: str) -> str:
+    return json.loads(FIXTURE.read_text())[run]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_default_verify_matches_recording(fmt):
-    assert digest(fmt) == json.loads(FIXTURE.read_text())[fmt]
+    assert digest(fmt) == recorded(fmt)
+
+
+def test_permutation_sweeps_to_n6_match_recording():
+    assert digest(SWEEPS_N6) == recorded(SWEEPS_N6)
