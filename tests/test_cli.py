@@ -261,6 +261,19 @@ def test_verify_refuses_oversized_sweep_up_front():
         assert err.startswith("resource cap:")
 
 
+@pytest.mark.parametrize("suite, option, value", [
+    ("localization", "--n-max", "0"),
+    ("localization", "--n-max", "-1"),
+    ("peterson", "--groebner-n-max", "0"),
+    ("example-n4", "--jobs", "0"),
+])
+def test_verify_refuses_a_bound_that_checks_nothing(suite, option, value):
+    # these once printed "0 passed, 0 failed out of 0 checks" and exited 0
+    code, out, err = run_main(["verify", "--suite", suite, option, value])
+    assert code == 64 and out == ""
+    assert err == f"error: {option[2:].replace('-', '_')} must be at least 1, got {value}\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_refuses_oversized_hilbert_sweep_up_front(monkeypatch, jobs):
     # hilbert rows report a fixed-point count, so n = 8 is refused before

@@ -24,6 +24,7 @@ from hesscoh.verify import (
     check_peterson,
     check_t_zero_at,
     _integer_generators,
+    _surviving,
     _vanishing_witness,
     negative_controls,
     poincare_product,
@@ -79,12 +80,22 @@ def _substitute_witness(h, w, generators):
 
 
 def test_vanishing_witness_matches_substitution():
+    # the kernel decides as the substitution route does, and its survivor
+    # carries that route's generator index and residue
     for n in range(1, 5):
+        t = t_var(n)
         for h in enumerate_all(n):
             gens = ideal_generators(h, "equivariant").generators
             integer = _integer_generators(gens)
             for w in permutations(range(1, n + 1)):
-                assert _vanishing_witness(h, w, integer) == _substitute_witness(h, w, gens)
+                reference = _substitute_witness(h, w, gens)
+                assert _vanishing_witness(h, w, integer) == reference
+                survivor = _surviving(w, integer)
+                assert (survivor is None) == (reference is None)
+                if survivor is not None:
+                    j, weight, value = survivor
+                    assert j == reference["j"]
+                    assert poly_to_dict(value * t ** weight) == reference["residue"]
 
 
 def test_integer_generators_refuse_what_they_cannot_evaluate():
