@@ -263,8 +263,8 @@ def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]
 def _surviving(w, integer_generators) -> tuple[int, int, int] | None:
     """(j, weight, value) for the first of the _integer_generators that
     x_k -> w(k) t does not kill, its image being value * t^weight; None when
-    every one vanishes at w.  Integer arithmetic only: no Polynomial or dict
-    is built, so deciding costs nothing beyond the evaluation."""
+    every one vanishes at w.  Integer arithmetic only: it builds no
+    Polynomial or dict, so a sweep that only decides pays for none."""
     for j, (weight, terms) in enumerate(integer_generators, start=1):
         value = 0
         for coef, indices in terms:

@@ -267,8 +267,7 @@ def test_verify_refuses_oversized_sweep_up_front():
     ("peterson", "--groebner-n-max", "0"),
     ("example-n4", "--jobs", "0"),
 ])
-def test_verify_refuses_a_bound_that_checks_nothing(suite, option, value):
-    # these once printed "0 passed, 0 failed out of 0 checks" and exited 0
+def test_verify_refuses_a_bound_below_one(suite, option, value):
     code, out, err = run_main(["verify", "--suite", suite, option, value])
     assert code == 64 and out == ""
     assert err == f"error: {option[2:].replace('-', '_')} must be at least 1, got {value}\n"
