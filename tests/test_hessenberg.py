@@ -10,6 +10,7 @@ import pytest
 from hesscoh.errors import InvalidHessenbergError, ResourceLimitError
 from hesscoh.hessenberg import (
     HessenbergFunction,
+    _split_by_class,
     enumerate_all,
     fixed_points,
     flag_function,
@@ -157,3 +158,21 @@ def test_fixed_point_sets_grow_with_h():
             for b in functions:
                 if all(x <= y for x, y in zip(a.values, b.values)):
                     assert sets[a.values] <= sets[b.values]
+
+
+def m_w(w):
+    """m_w(j) = max(j, max over k <= j of pos(w(k) - 1)), pos(0) = 0."""
+    pos = {v: j for j, v in enumerate(w, start=1)} | {0: 0}
+    return tuple(max([j] + [pos[w[k] - 1] for k in range(j)]) for j in range(1, len(w) + 1))
+
+
+def test_classes_partition_s_n_by_their_keys():
+    for n in range(1, 7):
+        classes = _split_by_class(n)
+        members = [w for _, _, ws in classes for w in ws]
+        assert sorted(members) == list(permutations(range(1, n + 1)))  # each w exactly once
+        assert len(classes) == catalan(n)
+        for g, _, ws in classes:
+            assert HessenbergFunction(g).values == g
+            assert ws == sorted(ws)
+            assert all(m_w(w) == g for w in ws), g
