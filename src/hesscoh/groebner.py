@@ -412,24 +412,40 @@ def buchberger(
         if cached is not None:
             return cached
 
-    # table[k] is the primitive integer reducer of the k-th basis element,
-    # lts[k] its leading monomial as an exponent tuple
+    # table[k] is the primitive integer reducer of the k-th basis element;
+    # lts[k], supports[k] and degrees[k] are its leading monomial as an
+    # exponent tuple, the bitmask of the variables in it, and its degree
     table: list[tuple] = []
     for reducer in _reducer_table([g for g in gens if not g.is_zero()], order):
         if reducer not in table:
             table.append(reducer)
     nvars = n + 1
-    lts = [_unpack(r[0], nvars) for r in table]
     weights = _pack_weights(order, nvars)
     guard = _guard(nvars)
+    lts: list[Monomial] = []
+    supports: list[int] = []
+    degrees: list[int] = []
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
+        """Record element j's leading monomial, then queue (i, j) for i < j."""
+        packed_j = table[j][0]
+        lt_j = _unpack(packed_j, nvars)
+        support_j = sum(1 << v for v, e in enumerate(lt_j) if e)
+        degree_j = sum(lt_j)
+        lts.append(lt_j)
+        supports.append(support_j)
+        degrees.append(degree_j)
         for i in range(j):
-            lcm = tuple(map(max, lts[i], lts[j]))
-            heappush(heap, (sum(lcm), -_pack(lcm, weights), i, j))
+            if supports[i] & support_j:
+                # the fields of an lcm are no larger than its arguments',
+                # so packing needs no overflow check
+                lcm = tuple(map(max, lts[i], lt_j))
+                heappush(heap, (sum(lcm), -sum(map(mul, weights, lcm)), i, j))
+            else:  # coprime: the lcm is the product
+                heappush(heap, (degrees[i] + degree_j, -(table[i][0] + packed_j), i, j))
             pending.add((i, j))
 
     for j in range(len(table)):
@@ -457,7 +473,6 @@ def buchberger(
             stats.reductions_to_zero += 1
             continue
         table.append(_reducer(remainder, next(iter(remainder))))
-        lts.append(_unpack(table[-1][0], nvars))
         push_pairs(len(table) - 1)
 
     reduced = _reduce_basis(n, table, guard, stats)
