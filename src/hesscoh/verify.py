@@ -664,8 +664,9 @@ def run_suite(
 ) -> VerificationReport:
     """Run the named checks (or all of them) and collect a report.
 
-    Unknown names, an empty list and an n_max, groebner_n_max or jobs
-    below 1 are refused with ValueError, and a sweep past a cap with
+    Unknown names, an empty list, an n_max, groebner_n_max or jobs below
+    1 and a selected check whose sweep has no task (peterson starts at
+    n = 2) are refused with ValueError, and a sweep past a cap with
     ResourceLimitError, before any check runs.
     Results come back in a deterministic order regardless of jobs; only
     the elapsed fields vary between runs.
@@ -681,7 +682,12 @@ def run_suite(
             raise ValueError(f"{option} must be at least 1, got {value}")
     sweep = _Sweep(n_max, groebner_n_max if groebner_n_max is not None else GROEBNER_CAP,
                    pair_budget, str(cache_dir) if cache_dir is not None else None)
-    tasks = [(name, payload) for name in selected for payload in _CHECKS[name].expand(sweep)]
+    tasks = []
+    for name in selected:
+        payloads = _CHECKS[name].expand(sweep)
+        if not payloads:
+            raise ValueError(f"empty sweep: {name} has no task within these bounds")
+        tasks += [(name, payload) for payload in payloads]
     start = time.perf_counter()
     results: list[CheckResult] = []
     if jobs > 1 and len(tasks) > 1:

@@ -273,6 +273,19 @@ def test_verify_refuses_a_bound_below_one(suite, option, value):
     assert err == f"error: {option[2:].replace('-', '_')} must be at least 1, got {value}\n"
 
 
+@pytest.mark.parametrize("suite", ["peterson", "all"])
+def test_verify_refuses_a_sweep_with_no_task(monkeypatch, suite):
+    # the Peterson sweep starts at n = 2, so a Groebner top of 1 leaves it
+    # empty; the refusal comes before any other check runs
+    def crash(*args, **kwargs):
+        raise RuntimeError("a task ran")
+
+    monkeypatch.setattr(verify_module, "check_example_n4", crash)
+    code, out, err = run_main(["verify", "--suite", suite, "--groebner-n-max", "1"])
+    assert code == 64 and out == ""
+    assert err == "error: empty sweep: peterson has no task within these bounds\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_refuses_oversized_hilbert_sweep_up_front(monkeypatch, jobs):
     # hilbert rows report a fixed-point count, so n = 8 is refused before
