@@ -1,9 +1,11 @@
 """The names perfbench's tracer rebinds must stay bound in hesscoh.
 
 `perfbench/tracer.py` patches the nine check runners of `hesscoh.verify`
-and `hesscoh.cli.main` by name.  A refactor that drops or renames one of
-them would otherwise show only as zeros in a traced benchmark run.  The
-probe runs in a fresh interpreter, as a benchmark pass does.
+and `hesscoh.cli.main` by name, and rebinds `fixed_points` and
+`buchberger` under every name they are imported as.  A refactor that
+drops or renames one of them would otherwise show only as zeros in a
+traced benchmark run.  The probe runs in a fresh interpreter, as a
+benchmark pass does.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ import hesscoh.cli as cli
 tracer = Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "--suite", "example-n4,closed-form", "--n-max", "3",
-                     "--format", "json", "--no-timing"])
+    code = cli.main(["verify", "--suite", "example-n4,closed-form,localization,hilbert",
+                     "--n-max", "3", "--groebner-n-max", "3", "--format", "json", "--no-timing"])
 metrics = tracer.layer_metrics()
 print(json.dumps({"code": code, "example-n4": metrics["verify.example-n4.tasks"],
-                  "closed-form": metrics["verify.closed-form.tasks"]}))
+                  "closed-form": metrics["verify.closed-form.tasks"],
+                  "fixed_points": metrics["hessenberg.fixed_points.calls"],
+                  "buchberger": metrics["groebner.buchberger.calls"]}))
 """
 
 
@@ -41,3 +45,4 @@ def test_tracer_installs_and_counts_verify_tasks():
     report = json.loads(done.stdout)
     assert report["code"] == 0
     assert report["example-n4"] > 0 and report["closed-form"] > 0
+    assert report["fixed_points"] > 0 and report["buchberger"] > 0
