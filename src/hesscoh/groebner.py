@@ -413,8 +413,8 @@ def buchberger(
             return cached
 
     # table[k] is the primitive integer reducer of the k-th basis element;
-    # lts[k], supports[k] and degrees[k] are its leading monomial as an
-    # exponent tuple, the bitmask of the variables in it, and its degree
+    # leads[k] is its packed leading monomial, that monomial's exponent
+    # tuple, the bitmask of the variables in it, and its degree
     table: list[tuple] = []
     for reducer in _reducer_table([g for g in gens if not g.is_zero()], order):
         if reducer not in table:
@@ -422,31 +422,27 @@ def buchberger(
     nvars = n + 1
     weights = _pack_weights(order, nvars)
     guard = _guard(nvars)
-    lts: list[Monomial] = []
-    supports: list[int] = []
-    degrees: list[int] = []
+    leads: list[tuple] = []
 
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
-        """Record element j's leading monomial, then queue (i, j) for i < j."""
-        packed_j = table[j][0]
-        lt_j = _unpack(packed_j, nvars)
-        support_j = sum(1 << v for v, e in enumerate(lt_j) if e)
-        degree_j = sum(lt_j)
-        lts.append(lt_j)
-        supports.append(support_j)
-        degrees.append(degree_j)
-        for i in range(j):
-            if supports[i] & support_j:
-                # the fields of an lcm are no larger than its arguments',
-                # so packing needs no overflow check
-                lcm = tuple(map(max, lts[i], lt_j))
+        """Queue (i, j) for every i < j, then record element j's lead."""
+        packed = table[j][0]
+        lt = _unpack(packed, nvars)
+        support = sum(1 << v for v, e in enumerate(lt) if e)
+        degree = sum(lt)
+        for i, (packed_i, lt_i, support_i, degree_i) in enumerate(leads):
+            if support_i & support:
+                # an lcm's fields are no larger than its arguments', so
+                # packing it needs no overflow check
+                lcm = tuple(map(max, lt_i, lt))
                 heappush(heap, (sum(lcm), -sum(map(mul, weights, lcm)), i, j))
             else:  # coprime: the lcm is the product
-                heappush(heap, (degrees[i] + degree_j, -(table[i][0] + packed_j), i, j))
+                heappush(heap, (degree_i + degree, -(packed_i + packed), i, j))
             pending.add((i, j))
+        leads.append((packed, lt, support, degree))
 
     for j in range(len(table)):
         push_pairs(j)
