@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -107,6 +108,41 @@ def test_integer_generators_refuse_what_they_cannot_evaluate():
         _integer_generators([x1 * x1 - t])
     with pytest.raises(ValueError, match="non-integer"):
         _integer_generators([x1 * Fraction(1, 2)])
+
+
+def test_integer_generators_refuse_on_every_call():
+    # a refused generator is never remembered as converted
+    x1, t = x_var(1, 2), t_var(2)
+    uneven, fractional = x1 * x1 - t, x1 * Fraction(1, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _integer_generators([x1 * x1, uneven])
+        with pytest.raises(ValueError, match="non-integer"):
+            _integer_generators([fractional])
+
+
+def test_permutation_checks_evaluate_the_generators_they_are_given(monkeypatch):
+    # after both sweeps have converted I(2,3,3), a fresh copy of generator 2
+    # plus t^weight must be evaluated as itself: it survives at every point
+    h = parse_hessenberg((2, 3, 3))
+    assert check_localization_vanishing(h).passed
+    assert check_fixed_point_exactness(h).passed
+
+    def tampered(h, mode="equivariant"):
+        ideal = ideal_generators(h, mode)
+        gens = list(ideal.generators)
+        gens[1] = gens[1] + t_var(h.n) ** gens[1].total_degree()
+        return replace(ideal, generators=tuple(gens))
+
+    monkeypatch.setattr(verify_module, "ideal_generators", tampered)
+    witness = {"w": [1, 2, 3], "j": 2,
+               "residue": {"n": 3, "terms": [{"x": [0, 0, 0], "t": 2, "c": "1/1"}]}}
+    localization = check_localization_vanishing(h)
+    assert not localization.passed
+    assert localization.witness == witness
+    exactness = check_fixed_point_exactness(h)
+    assert not exactness.passed
+    assert exactness.witness == {**witness, "problem": "fixed point with a surviving generator"}
 
 
 def test_exactness_check():
