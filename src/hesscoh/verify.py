@@ -236,6 +236,9 @@ def check_t_zero_at(n: int):
         lambda i, j: f_ordinary(i, j, n))
 
 
+_INTEGER_TERMS: dict[int, tuple[Polynomial, tuple[int, list[tuple[int, bytes]]]]] = {}
+
+
 def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]:
     """Each generator as (weight d, [(c, x indices), ...]), one term per
     entry, with each 0-based x index repeated as often as its exponent.
@@ -245,18 +248,30 @@ def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]
     A homogeneous generator g of weight d maps under x_k -> w(k) t to
     g(w(1), ..., w(n), 1) t^d, so with integer coefficients its image is
     integer arithmetic on these term lists.  Any other generator is
-    refused with ValueError.
+    refused with ValueError, on every call.
+
+    Each conversion is kept for the life of the process in _INTEGER_TERMS,
+    filled on first use and keyed on id(g) with g itself held in the
+    entry, so the id cannot pass to another polynomial: a fresh or altered
+    polynomial is converted afresh, never given another one's terms.  The
+    entries are shared; callers only read them.  ideal_generators returns
+    the memoized f_{i,j}, so the checks add at most one entry per f_{i,j}
+    with n at most the largest n swept: n(n+1)(n+2)/6 in all, 56 for n <= 6
+    and 84 for n <= 7.  Any other caller adds one entry per new polynomial.
     """
     out = []
     for g in generators:
-        if not g.is_homogeneous():
-            raise ValueError(f"generator {g} is not homogeneous")
-        terms = []
-        for exps, c in g.terms.items():
-            if c.denominator != 1:
-                raise ValueError(f"generator {g} has the non-integer coefficient {c}")
-            terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
-        out.append((g.total_degree(), terms))
+        entry = _INTEGER_TERMS.get(id(g))
+        if entry is None:
+            if not g.is_homogeneous():
+                raise ValueError(f"generator {g} is not homogeneous")
+            terms = []
+            for exps, c in g.terms.items():
+                if c.denominator != 1:
+                    raise ValueError(f"generator {g} has the non-integer coefficient {c}")
+                terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
+            entry = _INTEGER_TERMS[id(g)] = (g, (g.total_degree(), terms))
+        out.append(entry[1])
     return out
 
 

@@ -9,9 +9,9 @@ from itertools import permutations
 import pytest
 
 import hesscoh.verify as verify_module
-from hesscoh.generators import ideal_generators
+from hesscoh.generators import f_inductive, ideal_generators
 from hesscoh.hessenberg import enumerate_all, fixed_points, parse_hessenberg
-from hesscoh.polyring import poly_to_dict, t_var, x_var
+from hesscoh.polyring import Polynomial, poly_to_dict, t_var, x_var
 from hesscoh.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -80,23 +80,46 @@ def _substitute_witness(h, w, generators):
     return None
 
 
-def test_vanishing_witness_matches_substitution():
+def test_vanishing_witness_matches_substitution(monkeypatch):
     # the kernel decides as the substitution route does, and its survivor
-    # carries that route's generator index and residue
-    for n in range(1, 5):
-        t = t_var(n)
-        for h in enumerate_all(n):
-            gens = ideal_generators(h, "equivariant").generators
-            integer = _integer_generators(gens)
-            for w in permutations(range(1, n + 1)):
-                reference = _substitute_witness(h, w, gens)
-                assert _vanishing_witness(h, w, integer) == reference
-                survivor = _surviving(w, integer)
-                assert (survivor is None) == (reference is None)
-                if survivor is not None:
-                    j, weight, value = survivor
-                    assert j == reference["j"]
-                    assert poly_to_dict(value * t ** weight) == reference["residue"]
+    # carries that route's generator index and residue, whether the integer
+    # terms are converted on the way (empty table) or read back (full table)
+    triangle = [f_inductive(i, j, n) for n in range(1, 5)
+                for i in range(1, n + 1) for j in range(1, i + 1)]
+    for full in (False, True):
+        monkeypatch.setattr(verify_module, "_INTEGER_TERMS", {})
+        if full:
+            _integer_generators(triangle)
+        assert len(verify_module._INTEGER_TERMS) == (len(triangle) if full else 0)
+        for n in range(1, 5):
+            t = t_var(n)
+            for h in enumerate_all(n):
+                gens = ideal_generators(h, "equivariant").generators
+                integer = _integer_generators(gens)
+                for w in permutations(range(1, n + 1)):
+                    reference = _substitute_witness(h, w, gens)
+                    assert _vanishing_witness(h, w, integer) == reference
+                    survivor = _surviving(w, integer)
+                    assert (survivor is None) == (reference is None)
+                    if survivor is not None:
+                        j, weight, value = survivor
+                        assert j == reference["j"]
+                        assert poly_to_dict(value * t ** weight) == reference["residue"]
+        assert len(verify_module._INTEGER_TERMS) == len(triangle)
+
+
+def test_integer_terms_table_matches_a_fresh_conversion(monkeypatch):
+    # every f_{i,j} with n <= 7, read from the table, against the conversion
+    # of a copy: a new object, so the table cannot answer for it
+    monkeypatch.setattr(verify_module, "_INTEGER_TERMS", {})
+    for n in range(1, 8):
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                g = f_inductive(i, j, n)
+                _integer_generators([g])
+                copy = Polynomial._raw(n, dict(g.terms))
+                assert _integer_generators([g]) == _integer_generators([copy])
+                assert verify_module._INTEGER_TERMS[id(g)][0] is g
 
 
 def test_integer_generators_refuse_what_they_cannot_evaluate():
