@@ -5,9 +5,11 @@ failure (indices, permutation, residue polynomial) so a red result is
 actionable.  run_suite sweeps the checks over all Hessenberg functions
 up to per-check caps: purely symbolic comparisons default to n <= 6
 (exactness, an exhaustive S_n scan, to n <= 5) and Groebner-backed
-comparisons to n <= 4.  Of the default suite's ~0.67 s in process
-(2 cores, Python 3.11.7), the localization sweep takes ~0.54 s, the
-exactness sweep ~0.04 s and the seven other checks ~0.09 s together.
+comparisons to n <= 4.  Of the default suite's ~0.65 s of check time in
+process (2 cores, Python 3.11.7, median of 12 runs), the localization
+sweep takes ~0.49 s, the exactness sweep ~0.03 s and the seven other
+checks ~0.13 s together; both permutation sweeps read the generators'
+integer terms from one table, converted once per process.
 One ordered registry, _CHECKS, maps each check name to its task
 expander, its runner, its crash-row scope and its negative control; with
 the scope helpers (_n_scope, _h_scope, ...) it is the only place that
