@@ -7,7 +7,11 @@ cohomological convention, i.e. twice the internal weight.
 
 Exit codes: 0 success, 1 verification failure, 2 resource cap hit,
 64 usage error, 70 a verify --jobs worker process died, 74 I/O error
-(an --out file or a cache entry could not be written).
+(an --out file or a hilbert cache entry could not be written, or any
+other OSError inside a command).
+
+Only hilbert takes a Groebner cache dir (--cache-dir or the environment
+variable HESSCOH_CACHE_DIR); verify computes every basis it checks.
 """
 
 from __future__ import annotations
@@ -192,15 +196,12 @@ def _poincare_text(series, denominator_power: int) -> str:
     return f"{numerator}/{denom}"
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get("HESSCOH_CACHE_DIR") or None
-
-
 def _cmd_hilbert(args) -> int:
     h = parse_hessenberg(args.h)
     count = len(fixed_points(h))  # before the Groebner work, so a cap refuses it up front
     ideal = ideal_generators(h, args.mode)
-    gb = buchberger(ideal.generators, pair_budget=args.pair_budget, cache_dir=_cache_dir(args))
+    cache_dir = args.cache_dir or os.environ.get("HESSCOH_CACHE_DIR") or None
+    gb = buchberger(ideal.generators, pair_budget=args.pair_budget, cache_dir=cache_dir)
     data = hilbert_series(gb)
     dimension = "infinite" if data.quotient_dimension is None else data.quotient_dimension
     text = _poincare_text(data.series, data.denominator_power)
@@ -243,7 +244,6 @@ def _cmd_verify(args) -> int:
         n_max=args.n_max,
         groebner_n_max=args.groebner_n_max,
         jobs=args.jobs,
-        cache_dir=_cache_dir(args),
         pair_budget=args.pair_budget,
     )
     include_timing = not args.no_timing
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers across independent (check, h) tasks")
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    p.add_argument("--cache-dir", help="Groebner cache (or env HESSCOH_CACHE_DIR)")
     p.add_argument("--no-timing", action="store_true",
                    help="omit elapsed times for byte-identical reruns")
     common(p)

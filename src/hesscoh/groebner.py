@@ -40,6 +40,11 @@ be supplied.
 For quotient invariants the ambient ring is Q[x_1..x_n] when no basis
 element mentions t (ordinary mode) and Q[x_1..x_n, t] otherwise; the
 t slot of the exponent tuples is inert in the first case.
+
+Only buchberger reads and writes the on-disk cache, through its
+cache_dir argument, which the `hilbert` command and library callers
+set.  A loaded basis is trusted as it stands, so the equality helpers
+take no cache_dir: they compute both bases on every call.
 """
 
 from __future__ import annotations
@@ -527,7 +532,6 @@ def ideal_equality_witness(
     gens_b: Sequence[Polynomial],
     order: MonomialOrder | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    cache_dir: str | Path | None = None,
 ) -> dict | None:
     """None if the two generating sets span the same ideal.
 
@@ -537,8 +541,8 @@ def ideal_equality_witness(
     "normalForm": its normal form as poly_to_dict}.
     """
     order = order or MonomialOrder()
-    gb_a = buchberger(gens_a, order, pair_budget, cache_dir)
-    gb_b = buchberger(gens_b, order, pair_budget, cache_dir)
+    gb_a = buchberger(gens_a, order, pair_budget)
+    gb_b = buchberger(gens_b, order, pair_budget)
     return basis_equality_witness(gens_a, gb_a, gens_b, gb_b)
 
 
@@ -565,10 +569,9 @@ def ideal_equality(
     gens_b: Sequence[Polynomial],
     order: MonomialOrder | None = None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    cache_dir: str | Path | None = None,
 ) -> bool:
     """Whether the two generating sets span the same ideal."""
-    return ideal_equality_witness(gens_a, gens_b, order, pair_budget, cache_dir) is None
+    return ideal_equality_witness(gens_a, gens_b, order, pair_budget) is None
 
 
 # -- quotient invariants ---------------------------------------------------

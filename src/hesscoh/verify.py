@@ -9,7 +9,9 @@ comparisons to n <= 4.  Of the default suite's ~0.65 s of check time in
 process (2 cores, Python 3.11.7, median of 12 runs), the localization
 sweep takes ~0.49 s, the exactness sweep ~0.03 s and the seven other
 checks ~0.13 s together; both permutation sweeps read the generators'
-integer terms from one table, converted once per process.
+integer terms from one table, converted once per process.  The
+Groebner-backed checks compute every basis they compare on each run and
+read none from disk, so their rows test the engine itself.
 One ordered registry, _CHECKS, maps each check name to its task
 expander, its runner, its crash-row scope and its negative control; with
 the scope helpers (_n_scope, _h_scope, ...) it is the only place that
@@ -350,7 +352,7 @@ def _peterson_presentation(n: int) -> list[Polynomial]:
 
 
 @_check("peterson")
-def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=None):
+def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Peterson case h = (2,3,...,n,n): the p-coefficient rewriting.
 
     Termwise: x_j - x_{j+1} - t = -p_{j-1} + 2p_j - p_{j+1} - 2t and the
@@ -372,7 +374,7 @@ def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=Non
                            "difference": poly_to_dict(f_inductive(j + 1, j, n) - step)}
     gens = ideal_generators(peterson_function(n), "equivariant").generators
     witness = ideal_equality_witness(list(gens), _peterson_presentation(n),
-                                     pair_budget=pair_budget, cache_dir=cache_dir)
+                                     pair_budget=pair_budget)
     if witness is not None:
         witness["part"] = "ideal-equality"
     return scope, witness
@@ -390,7 +392,7 @@ def _scaled_borel_generators(n: int) -> list[Polynomial]:
 
 @_check("flag-borel")
 def check_flag_borel(n: int, groebner_cap: int = GROEBNER_CAP,
-                     pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=None):
+                     pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Flag case h = (n,...,n): q_r identities, Borel presentation, dim n!.
 
     The termwise parts always run; the Groebner-backed parts run when n
@@ -416,8 +418,8 @@ def check_flag_borel(n: int, groebner_cap: int = GROEBNER_CAP,
         flag = flag_function(n)
         ordinary = list(ideal_generators(flag, "ordinary").generators)
         borel = [elementary_symmetric(i, range(1, n + 1), n) for i in range(1, n + 1)]
-        gb = buchberger(ordinary, pair_budget=pair_budget, cache_dir=cache_dir)
-        gb_borel = buchberger(borel, pair_budget=pair_budget, cache_dir=cache_dir)
+        gb = buchberger(ordinary, pair_budget=pair_budget)
+        gb_borel = buchberger(borel, pair_budget=pair_budget)
         witness = basis_equality_witness(ordinary, gb, borel, gb_borel)
         if witness is not None:
             witness["part"] = "borel-equality"
@@ -432,7 +434,7 @@ def check_flag_borel(n: int, groebner_cap: int = GROEBNER_CAP,
     if n <= min(EQUIVARIANT_FLAG_CAP, groebner_cap):
         equivariant = list(ideal_generators(flag_function(n), "equivariant").generators)
         witness = ideal_equality_witness(equivariant, _scaled_borel_generators(n),
-                                         pair_budget=pair_budget, cache_dir=cache_dir)
+                                         pair_budget=pair_budget)
         if witness is not None:
             witness["part"] = "equivariant-borel-equality"
             return scope, witness
@@ -455,7 +457,7 @@ def poincare_product(h: HessenbergFunction) -> list[int]:
 
 
 @_check("hilbert")
-def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET, cache_dir=None):
+def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Hilbert series of both presentations of Hess(h) against the product
     formula; the fixed-point count is reported but never asserted."""
     scope = _h_scope(h.values)
@@ -463,7 +465,7 @@ def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET,
     expected_dim = sum(expected)
 
     ordinary = ideal_generators(h, "ordinary").generators
-    gb = buchberger(ordinary, pair_budget=pair_budget, cache_dir=cache_dir)
+    gb = buchberger(ordinary, pair_budget=pair_budget)
     data = hilbert_series(gb)
     if list(data.series) != expected or data.quotient_dimension != expected_dim:
         return scope, {"part": "ordinary-series", "expected": expected,
@@ -474,7 +476,7 @@ def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET,
         return scope, {"part": "standard-monomials", "expected": expected_dim, "count": std}
 
     equivariant = ideal_generators(h, "equivariant").generators
-    gb_eq = buchberger(equivariant, pair_budget=pair_budget, cache_dir=cache_dir)
+    gb_eq = buchberger(equivariant, pair_budget=pair_budget)
     data_eq = hilbert_series(gb_eq)
     if data_eq.denominator_power != 1 or list(data_eq.series) != expected:
         return scope, {"part": "equivariant-series", "expected": expected,
@@ -591,7 +593,6 @@ class _Sweep(NamedTuple):
     n_max: int | None
     gcap: int
     budget: int
-    cache: str | None
 
     def top(self, default: int) -> int:
         return self.n_max if self.n_max is not None else default
@@ -637,18 +638,16 @@ _CHECKS = {
         _h_scope, _control_exactness),
     "peterson": _Check(
         lambda s: [(n,) for n in range(2, s.gcap + 1)],
-        lambda s, n: [check_peterson(n, pair_budget=s.budget, cache_dir=s.cache)],
+        lambda s, n: [check_peterson(n, pair_budget=s.budget)],
         _peterson_scope, _control_peterson),
     "flag-borel": _Check(
         _n_sweep,
-        lambda s, n: [check_flag_borel(n, groebner_cap=s.gcap, pair_budget=s.budget,
-                                       cache_dir=s.cache)],
+        lambda s, n: [check_flag_borel(n, groebner_cap=s.gcap, pair_budget=s.budget)],
         _n_scope, _control_flag_borel),
     # each row reports a fixed-point count, so the sweep stops at the permutation cap
     "hilbert": _Check(
         lambda s: _permutation_sweep("hilbert", s.gcap),
-        lambda s, values: [check_hilbert(HessenbergFunction(values), pair_budget=s.budget,
-                                         cache_dir=s.cache)],
+        lambda s, values: [check_hilbert(HessenbergFunction(values), pair_budget=s.budget)],
         _h_scope, _control_hilbert),
     "negative-controls": _Check(lambda s: [()], lambda s: negative_controls(), dict, None),
 }
@@ -659,7 +658,7 @@ CHECK_NAMES = tuple(_CHECKS)
 def _execute_task(sweep: _Sweep, task: tuple) -> list[CheckResult]:
     """Run one (name, payload) task under sweep's settings.  A crash becomes
     one FAIL row whose witness names the exception; a resource cap (exit 2)
-    and an I/O error such as an unwritable cache dir (exit 74) propagate."""
+    and an OSError (exit 74) propagate, so the run ends with no report."""
     name, payload = task
     check = _CHECKS[name]
     try:
@@ -676,7 +675,6 @@ def run_suite(
     n_max: int | None = None,
     groebner_n_max: int | None = None,
     jobs: int = 1,
-    cache_dir=None,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> VerificationReport:
     """Run the named checks (or all of them) and collect a report.
@@ -698,7 +696,7 @@ def run_suite(
         if value is not None and value < 1:
             raise ValueError(f"{option} must be at least 1, got {value}")
     sweep = _Sweep(n_max, groebner_n_max if groebner_n_max is not None else GROEBNER_CAP,
-                   pair_budget, str(cache_dir) if cache_dir is not None else None)
+                   pair_budget)
     tasks = []
     for name in selected:
         payloads = _CHECKS[name].expand(sweep)

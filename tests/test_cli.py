@@ -374,14 +374,30 @@ def test_import_loads_no_process_pool(module):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_unwritable_cache_dir_is_an_io_error(tmp_path, jobs):
+def test_verify_io_error_inside_a_check_exits_74(monkeypatch, jobs):
     # an I/O error inside a check is not a FAIL row: the run exits 74
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")
+    def unreadable(*args, **kwargs):
+        raise PermissionError("denied")
+
+    monkeypatch.setattr(verify_module, "buchberger", unreadable)
     code, out, err = run_main(["verify", "--suite", "hilbert", "--groebner-n-max", "2",
-                               "--cache-dir", str(blocker / "cache"), "--jobs", jobs])
+                               "--jobs", jobs])
     assert code == 74 and out == ""
-    assert err.startswith("I/O error:") and err.count("\n") == 1
+    assert err == "I/O error: denied\n"
+
+
+def test_verify_ignores_the_cache(tmp_path, monkeypatch):
+    # verify computes every basis it checks: it neither reads nor fills a cache
+    argv = ["verify", "--suite", "peterson,flag-borel,hilbert", "--groebner-n-max", "3",
+            "--format", "json", "--no-timing"]
+    plain = run_main(argv)
+    monkeypatch.setenv("HESSCOH_CACHE_DIR", str(tmp_path))
+    assert run_main(argv) == plain
+    assert plain[0] == 0 and list(tmp_path.iterdir()) == []
+    code, out, err = run_main(["verify", "--cache-dir", str(tmp_path)])
+    assert code == 64 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"hesscoh: error: unrecognized arguments: --cache-dir {tmp_path}"]
 
 
 def test_verify_json_no_timing_is_reproducible():

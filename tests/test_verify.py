@@ -244,6 +244,62 @@ def test_hilbert_check():
     assert result.scope["fixedPointCount"] == 4
 
 
+def _drop_last(f):
+    return lambda *args: f(*args)[:-1]
+
+
+def _truncated_basis(f):
+    """An engine that loses the last element of every reduced basis."""
+
+    def run(*args, **kwargs):
+        gb = f(*args, **kwargs)
+        return replace(gb, basis=gb.basis[:-1])
+
+    return run
+
+
+_ESCAPE = {"direction", "generator", "normalForm"}  # ideal_equality_witness
+
+
+def _hilbert_233():
+    return check_hilbert(parse_hessenberg((2, 3, 3)))
+
+
+# (check run, verify attribute, its corruption, failing part, witness keys)
+_BROKEN_PARTS = [
+    (lambda: check_peterson(3), "peterson_rewrite_factor",
+     lambda f: lambda j, n: f(j, n) + t_var(n), "factor-identity", {"j", "difference"}),
+    (lambda: check_peterson(3), "p_sum",
+     lambda f: lambda j, n: f(j, n) + t_var(n), "recursion-step", {"j", "difference"}),
+    (lambda: check_peterson(3), "_peterson_presentation", _drop_last, "ideal-equality", _ESCAPE),
+    (lambda: check_flag_borel(3), "q_flag",
+     lambda f: lambda r, n: f(r, n) + x_var(1, n), "q-equals-f", {"r", "difference"}),
+    (lambda: check_flag_borel(3), "power_sum",
+     lambda f: lambda r, n: 2 * f(r, n), "newton-expansion", {"r", "difference"}),
+    (lambda: check_flag_borel(3), "buchberger", _truncated_basis, "borel-equality", _ESCAPE),
+    (lambda: check_flag_borel(3), "standard_monomials", _drop_last, "dimension",
+     {"expected", "dimension", "standardMonomials"}),
+    (lambda: check_flag_borel(3), "_scaled_borel_generators", _drop_last,
+     "equivariant-borel-equality", _ESCAPE),
+    (_hilbert_233, "poincare_product", lambda f: lambda h: [*f(h), 1], "ordinary-series",
+     {"expected", "series", "expectedDimension", "dimension"}),
+    (_hilbert_233, "standard_monomials", _drop_last, "standard-monomials", {"expected", "count"}),
+    # the equivariant presentation replaced by the ordinary one: no t, no 1/(1 - q^2)
+    (_hilbert_233, "ideal_generators", lambda f: lambda h, mode: f(h, "ordinary"),
+     "equivariant-series", {"expected", "series", "denominatorPower"}),
+]
+
+
+@pytest.mark.parametrize("run, target, corrupt, part, keys", _BROKEN_PARTS,
+                         ids=[case[3] for case in _BROKEN_PARTS])
+def test_groebner_backed_checks_fail_each_part(monkeypatch, run, target, corrupt, part, keys):
+    monkeypatch.setattr(verify_module, target, corrupt(getattr(verify_module, target)))
+    result = run()
+    assert not result.passed
+    assert result.witness["part"] == part
+    assert set(result.witness) == {"part", *keys}
+
+
 def test_check_result_contract():
     ok = CheckResult(name="demo", scope={}, passed=True)
     assert ok.to_dict() == {
