@@ -2,8 +2,9 @@
 
 tests/verify_golden.json maps each named run below to the sha256 of what
 `hesscoh` printed for its arguments when the fixture was recorded: the
-default suite in both formats, and the two permutation sweeps past their
-default scale (exactness is n <= 5 by default, here n <= 6).  A refactor
+default suite in both formats, the two permutation sweeps past their
+default scale (exactness is n <= 5 by default, here n <= 6), and the
+exactness sweep at the permutation cap, n <= 7.  A refactor
 of the checks, the registry or the suite driver must reproduce them byte
 for byte.  To re-record after an intended output change:
 
@@ -26,11 +27,14 @@ FIXTURE = Path(__file__).with_name("verify_golden.json")
 
 FORMATS = ("json", "text")
 SWEEPS_N6 = "permutation-sweeps-n6-json"
+EXACTNESS_N7 = "fixed-point-exactness-n7-json"
 
 RUNS = {
     **{fmt: ["verify", "--format", fmt, "--no-timing"] for fmt in FORMATS},
     SWEEPS_N6: ["verify", "--suite", "localization,fixed-point-exactness", "--n-max", "6",
                 "--format", "json", "--no-timing"],
+    EXACTNESS_N7: ["verify", "--suite", "fixed-point-exactness", "--n-max", "7",
+                   "--format", "json", "--no-timing"],
 }
 
 
@@ -56,3 +60,7 @@ def test_default_verify_matches_recording(fmt):
 
 def test_permutation_sweeps_to_n6_match_recording():
     assert digest(SWEEPS_N6) == recorded(SWEEPS_N6)
+
+
+def test_exactness_sweep_to_n7_matches_recording():
+    assert digest(EXACTNESS_N7) == recorded(EXACTNESS_N7)
