@@ -318,12 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # refused here, not by parse_args, so the usage shown is the subcommand's
+        args.subparser.print_usage(sys.stderr)
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: unrecognized arguments: {' '.join(extra)}\n")
     try:
         return args.func(args)
     except InvalidHessenbergError as exc:

@@ -157,6 +157,25 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
     return out
 
 
+# n -> S_n ranked in lexicographic order, built by permutation_ranks on first use
+_RANKS: dict[int, dict[Permutation, int]] = {}
+
+
+def permutation_ranks(n: int) -> dict[Permutation, int]:
+    """Each w in S_n mapped to its 0-based rank in lexicographic
+    (itertools.permutations) order; iterating the dict gives S_n in that
+    order.  Built once per n, on first use, and kept for n <=
+    DEFAULT_PERMUTATION_CAP: about 0.13 MB for all n <= 6 and 0.76 MB more
+    at n = 7 (tracemalloc).  A larger n is built for the one call only.
+    """
+    ranks = _RANKS.get(n)
+    if ranks is None:
+        ranks = {w: k for k, w in enumerate(permutations(range(1, n + 1)))}
+        if n <= DEFAULT_PERMUTATION_CAP:
+            _RANKS[n] = ranks
+    return ranks
+
+
 def _split_by_class(n: int) -> list[tuple[Permutation, int, list[Permutation]]]:
     """One (g, _cells(g), C_g) per class of S_n; each C_g in lexicographic
     order."""

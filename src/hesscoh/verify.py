@@ -33,7 +33,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial, wraps
-from itertools import combinations, permutations
+from itertools import combinations, islice
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -62,6 +62,7 @@ from .hessenberg import (
     enumerate_all,
     fixed_points,
     flag_function,
+    permutation_ranks,
     peterson_function,
 )
 from .polyring import Polynomial, elementary_symmetric, poly_to_dict, power_sum, t_var
@@ -240,28 +241,31 @@ def check_t_zero_at(n: int):
         lambda i, j: f_ordinary(i, j, n))
 
 
-_INTEGER_TERMS: dict[int, tuple[Polynomial, tuple[int, list[tuple[int, bytes]]]]] = {}
+_INTEGER_TERMS: dict[int, list] = {}
 
 
-def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]:
-    """Each generator as (weight d, [(c, x indices), ...]), one term per
-    entry, with each 0-based x index repeated as often as its exponent.
-    Bytes, not tuples: freed small tuples stay on CPython's free lists,
-    which raised the peak RSS of a sweep by ~0.4 MB.
+def _integer_entries(generators) -> list[list]:
+    """Each generator's _INTEGER_TERMS entry [g, (weight d, [(c, x
+    indices), ...]), zero set or None]: one term per pair, with each
+    0-based x index repeated as often as its exponent.  Bytes, not tuples:
+    freed small tuples stay on CPython's free lists, which raised the peak
+    RSS of a sweep by ~0.4 MB.
 
     A homogeneous generator g of weight d maps under x_k -> w(k) t to
     g(w(1), ..., w(n), 1) t^d, so with integer coefficients its image is
     integer arithmetic on these term lists.  Any other generator is
     refused with ValueError, on every call.
 
-    Each conversion is kept for the life of the process in _INTEGER_TERMS,
+    Each entry is kept for the life of the process in _INTEGER_TERMS,
     filled on first use and keyed on id(g) with g itself held in the
     entry, so the id cannot pass to another polynomial: a fresh or altered
-    polynomial is converted afresh, never given another one's terms.  The
-    entries are shared; callers only read them.  ideal_generators returns
-    the memoized f_{i,j}, so the checks add at most one entry per f_{i,j}
-    with n at most the largest n swept: n(n+1)(n+2)/6 in all, 56 for n <= 6
-    and 84 for n <= 7.  Any other caller adds one entry per new polynomial.
+    polynomial is converted afresh, never given another one's terms or
+    zero set.  The entries are shared; callers only read them, except
+    _zero_sets, which fills the zero set on first use.  ideal_generators
+    returns the memoized f_{i,j}, so the checks add at most one entry per
+    f_{i,j} with n at most the largest n swept: n(n+1)(n+2)/6 in all, 56
+    for n <= 6 and 84 for n <= 7.  Any other caller adds one entry per new
+    polynomial.
     """
     out = []
     for g in generators:
@@ -274,8 +278,31 @@ def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]
                 if c.denominator != 1:
                     raise ValueError(f"generator {g} has the non-integer coefficient {c}")
                 terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
-            entry = _INTEGER_TERMS[id(g)] = (g, (g.total_degree(), terms))
-        out.append(entry[1])
+            entry = _INTEGER_TERMS[id(g)] = [g, (g.total_degree(), terms), None]
+        out.append(entry)
+    return out
+
+
+def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]:
+    """Each generator as (weight d, [(c, x indices), ...]), read from its
+    _INTEGER_TERMS entry."""
+    return [entry[1] for entry in _integer_entries(generators)]
+
+
+def _zero_sets(generators) -> list[int]:
+    """Each generator's zero set over S_n, n its number of x variables: an
+    int whose bit k is set when _surviving finds that the generator
+    vanishes at the k-th permutation in lexicographic order
+    (permutation_ranks).  Computed once per generator, on first use, and
+    kept in its _INTEGER_TERMS entry: the 84 f_{i,j} with n <= 7 hold
+    ~20 KB of zero sets."""
+    out = []
+    for entry in _integer_entries(generators):
+        if entry[2] is None:
+            single = [entry[1]]
+            entry[2] = sum(1 << k for k, w in enumerate(permutation_ranks(entry[0].n))
+                           if _surviving(w, single) is None)
+        out.append(entry[2])
     return out
 
 
@@ -326,18 +353,31 @@ def check_localization_vanishing(h: HessenbergFunction):
 
 @_check("fixed-point-exactness")
 def check_fixed_point_exactness(h: HessenbergFunction):
-    """w kills all generators of I(h)  <=>  w is a fixed point of Hess(h)."""
-    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
+    """w kills all generators of I(h)  <=>  w is a fixed point of Hess(h).
+
+    Both sides are bitmasks over S_n in lexicographic order: the AND of
+    the generators' zero sets and the ranks of fixed_points(h).  The lowest
+    set bit of their XOR is the first permutation where they disagree, so
+    the witness is the one a lexicographic scan of S_n stops at.  After
+    --n-max 7 the sweep keeps S_n's ranks (0.9 MB, permutation_ranks) and
+    the zero sets (~20 KB).
+    """
+    generators = ideal_generators(h, "equivariant").generators
+    gens = _integer_generators(generators)
     fixed = set(fixed_points(h))
+    ranks = permutation_ranks(h.n)
+    vanishing = (1 << len(ranks)) - 1
+    for zeros in _zero_sets(generators):
+        vanishing &= zeros
+    disagree = vanishing ^ sum(1 << ranks[w] for w in fixed if w in ranks)
     scope = _h_scope(h.values)
-    for w in permutations(range(1, h.n + 1)):
-        vanishes = _surviving(w, gens) is None
-        member = w in fixed
-        if vanishes and not member:
+    if disagree:
+        k = (disagree & -disagree).bit_length() - 1
+        w = next(islice(ranks, k, None))
+        if vanishing >> k & 1:
             return scope, {"w": list(w), "problem": "vanishes but not a fixed point"}
-        if member and not vanishes:
-            return scope, {**_vanishing_witness(h, w, gens),
-                           "problem": "fixed point with a surviving generator"}
+        return scope, {**_vanishing_witness(h, w, gens),
+                       "problem": "fixed point with a surviving generator"}
     scope["fixedPoints"] = len(fixed)
     return scope, None
 

@@ -436,6 +436,18 @@ def test_missing_required_argument():
     assert code == 64
 
 
+@pytest.mark.parametrize("argv, option, extra", [
+    (["verify", "--cache-dir", "X"], "--no-timing", "--cache-dir X"),
+    (["hilbert", "--h", "2,3,3", "--bogus"], "--mode", "--bogus"),
+], ids=["verify", "hilbert"])
+def test_unknown_option_shows_the_subcommand_usage(argv, option, extra):
+    code, out, err = run_main(argv)
+    assert code == 64 and out == ""
+    usage, error = err.split("\nhesscoh: error: ")
+    assert usage.startswith(f"usage: hesscoh {argv[0]} [-h]") and option in usage
+    assert error == f"unrecognized arguments: {extra}\n"
+
+
 def test_invalid_format_choice():
     code, _, err = run_main(["fixed-points", "--h", "2,2", "--format", "latex"])
     assert code == 64

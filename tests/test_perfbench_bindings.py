@@ -26,11 +26,13 @@ import hesscoh.cli as cli
 tracer = Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "--suite", "example-n4,closed-form,localization,hilbert",
+    code = cli.main(["verify", "--suite",
+                     "example-n4,closed-form,localization,fixed-point-exactness,hilbert",
                      "--n-max", "3", "--groebner-n-max", "3", "--format", "json", "--no-timing"])
 metrics = tracer.layer_metrics()
 print(json.dumps({"code": code, "example-n4": metrics["verify.example-n4.tasks"],
                   "closed-form": metrics["verify.closed-form.tasks"],
+                  "fixed-point-exactness": metrics["verify.fixed-point-exactness.tasks"],
                   "fixed_points": metrics["hessenberg.fixed_points.calls"],
                   "buchberger": metrics["groebner.buchberger.calls"]}))
 """
@@ -45,4 +47,5 @@ def test_tracer_installs_and_counts_verify_tasks():
     report = json.loads(done.stdout)
     assert report["code"] == 0
     assert report["example-n4"] > 0 and report["closed-form"] > 0
+    assert report["fixed-point-exactness"] > 0
     assert report["fixed_points"] > 0 and report["buchberger"] > 0

@@ -27,6 +27,7 @@ from hesscoh.verify import (
     _integer_generators,
     _surviving,
     _vanishing_witness,
+    _zero_sets,
     negative_controls,
     poincare_product,
     run_suite,
@@ -166,6 +167,62 @@ def test_exactness_check():
     assert result.scope["fixedPoints"] == 4
     minimal = check_fixed_point_exactness(parse_hessenberg((1, 2, 3)))
     assert minimal.passed and minimal.scope["fixedPoints"] == 1
+
+
+VANISHES, SURVIVES = "vanishes but not a fixed point", "fixed point with a surviving generator"
+
+
+def _scan_exactness(h):
+    """Reference: the per-permutation scan of S_n that the zero sets replaced."""
+    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
+    fixed = set(verify_module.fixed_points(h))
+    scope = {"h": list(h.values), "n": h.n}
+    for w in permutations(range(1, h.n + 1)):
+        vanishes = _surviving(w, gens) is None
+        member = w in fixed
+        if vanishes and not member:
+            return scope, {"w": list(w), "problem": VANISHES}
+        if member and not vanishes:
+            return scope, {**_vanishing_witness(h, w, gens), "problem": SURVIVES}
+    scope["fixedPoints"] = len(fixed)
+    return scope, None
+
+
+@pytest.mark.parametrize("tamper, problems", [
+    (lambda points: points, set()),
+    (lambda points: points[1:], {VANISHES}),
+    (lambda points: [*points, (2, 3, 1)], {SURVIVES}),
+    (lambda points: list(permutations(sorted(points[0]))), {SURVIVES}),
+], ids=["untampered", "fixed-point-dropped", "non-fixed-point-added", "all-of-s-n-claimed"])
+def test_exactness_rows_match_the_permutation_scan(monkeypatch, tamper, problems):
+    # every h with n <= 5, passing or failing in either direction, gets the
+    # row the lexicographic scan of S_n gives, witness and scope alike
+    monkeypatch.setattr(verify_module, "fixed_points", lambda h: tamper(fixed_points(h)))
+    seen = set()
+    for n in range(1, 6):
+        for h in enumerate_all(n):
+            result = check_fixed_point_exactness(h)
+            scope, witness = _scan_exactness(h)
+            assert (result.scope, result.witness) == (scope, witness), h
+            if witness is not None:
+                seen.add(witness["problem"])
+    assert seen == problems
+
+
+def test_zero_sets_hold_the_vanishing_permutations():
+    # each f_{i,j} with n <= 6: bit k of its zero set is set exactly when
+    # the kernel finds that f_{i,j} vanishes at the k-th permutation of S_n
+    for n in range(1, 7):
+        perms = list(permutations(range(1, n + 1)))
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                g = f_inductive(i, j, n)
+                [zeros] = _zero_sets([g])
+                integer = _integer_generators([g])
+                assert zeros >> len(perms) == 0
+                assert {w for k, w in enumerate(perms) if zeros >> k & 1} == {
+                    w for w in perms if _surviving(w, integer) is None}
+                assert verify_module._INTEGER_TERMS[id(g)][2] == zeros
 
 
 @pytest.mark.parametrize("tamper, witness", [
