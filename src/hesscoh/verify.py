@@ -4,12 +4,14 @@ Every check returns a CheckResult whose witness pinpoints the first
 failure (indices, permutation, residue polynomial) so a red result is
 actionable.  run_suite sweeps the checks over all Hessenberg functions
 up to per-check caps: purely symbolic comparisons default to n <= 6
-(exactness, an exhaustive S_n scan, to n <= 5) and Groebner-backed
-comparisons to n <= 4.  Of the default suite's ~0.65 s of check time in
-process (2 cores, Python 3.11.7, median of 12 runs), the localization
-sweep takes ~0.49 s, the exactness sweep ~0.03 s and the seven other
-checks ~0.13 s together; both permutation sweeps read the generators'
-integer terms from one table, converted once per process.  The
+(exactness, decided over all of S_n, to n <= 5) and Groebner-backed
+comparisons to n <= 4.  Of the default suite's 0.40-0.61 s of check
+time in process (2 cores, Python 3.11.7, median of 12 runs; the host's
+speed swung by half between batches), the localization sweep takes ~79 %,
+the exactness sweep ~1.5 % (0.006-0.010 s) and the seven other checks
+~19 % together.  Both permutation sweeps read the generators' integer
+terms from one table, converted once per process; exactness also reads
+each generator's zero set over S_n there, computed once per process.  The
 Groebner-backed checks compute every basis they compare on each run and
 read none from disk, so their rows test the engine itself.
 One ordered registry, _CHECKS, maps each check name to its task
@@ -295,7 +297,7 @@ def _zero_sets(generators) -> list[int]:
     vanishes at the k-th permutation in lexicographic order
     (permutation_ranks).  Computed once per generator, on first use, and
     kept in its _INTEGER_TERMS entry: the 84 f_{i,j} with n <= 7 hold
-    ~20 KB of zero sets."""
+    21 KB of zero sets."""
     out = []
     for entry in _integer_entries(generators):
         if entry[2] is None:
@@ -358,9 +360,11 @@ def check_fixed_point_exactness(h: HessenbergFunction):
     Both sides are bitmasks over S_n in lexicographic order: the AND of
     the generators' zero sets and the ranks of fixed_points(h).  The lowest
     set bit of their XOR is the first permutation where they disagree, so
-    the witness is the one a lexicographic scan of S_n stops at.  After
-    --n-max 7 the sweep keeps S_n's ranks (0.9 MB, permutation_ranks) and
-    the zero sets (~20 KB).
+    the witness is the one a lexicographic scan of S_n stops at.  A sweep
+    to n <= 7 leaves 2.4 MB held (tracemalloc): the ranks of S_n for every
+    n (0.9 MB, permutation_ranks), the 84 zero sets (21 KB), and the
+    fixed-point classes, generators and integer terms it shares with the
+    localization sweep.
     """
     generators = ideal_generators(h, "equivariant").generators
     gens = _integer_generators(generators)
