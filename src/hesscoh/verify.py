@@ -367,7 +367,6 @@ def check_fixed_point_exactness(h: HessenbergFunction):
     localization sweep.
     """
     generators = ideal_generators(h, "equivariant").generators
-    gens = _integer_generators(generators)
     fixed = set(fixed_points(h))
     ranks = permutation_ranks(h.n)
     vanishing = (1 << len(ranks)) - 1
@@ -380,7 +379,7 @@ def check_fixed_point_exactness(h: HessenbergFunction):
         w = next(islice(ranks, k, None))
         if vanishing >> k & 1:
             return scope, {"w": list(w), "problem": "vanishes but not a fixed point"}
-        return scope, {**_vanishing_witness(h, w, gens),
+        return scope, {**_vanishing_witness(h, w, _integer_generators(generators)),
                        "problem": "fixed point with a surviving generator"}
     scope["fixedPoints"] = len(fixed)
     return scope, None
