@@ -1,4 +1,6 @@
-"""Exact bytes of `present` and `generators` in every format and mode.
+"""Exact bytes of `present` and `generators` in every format and mode, and
+of `fixed-points` in both formats for a few h from n = 1 to the full flag
+at n = 7, and at n = 8 under `--cap 8`.
 
 tests/cli_golden.json maps each argv (joined by spaces) to the output it
 printed when the fixture was recorded.  Refactors of the emitters must
@@ -26,6 +28,11 @@ ARGVS = [
     for command in (["present", "--h", "2,3,3"], ["generators", "--n", "3"])
     for fmt in ("text", "json", "latex")
     for mode in ("equivariant", "ordinary")
+] + [
+    ["fixed-points", "--h", h, *cap, "--format", fmt]
+    for h, cap in (("1", ()), ("2,3,3", ()), ("2,3,4,5,5", ()), ("3,3,4,5,6,6", ()),
+                   ("7,7,7,7,7,7,7", ()), ("2,3,4,5,6,7,8,8", ("--cap", "8")))
+    for fmt in ("text", "json")
 ]
 
 
