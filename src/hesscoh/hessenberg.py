@@ -7,7 +7,8 @@ Hess(h) are the permutation flags that survive inside Hess(h).  Each
 permutation w has a Hessenberg function m_w, and w is fixed in Hess(h)
 exactly when m_w <= h pointwise; so S_n is split once per n into the
 Catalan(n) classes of equal m_w, and `fixed_points` takes the union of
-the classes below h.  An independent oracle literally tests N-stability
+the classes below h; the same table of S_n also ranks it for
+`permutation_ranks`.  An independent oracle literally tests N-stability
 of the coordinate flag for the regular nilpotent matrix N with
 N e_1 = 0, N e_m = e_{m-1}.
 """
@@ -73,9 +74,6 @@ class HessenbergFunction:
         """dim_C Hess(h) = sum_j (h(j) - j)."""
         return sum(v - (j + 1) for j, v in enumerate(self.values))
 
-    def is_flag(self) -> bool:
-        return all(v == self.n for v in self.values)
-
 
 def parse_hessenberg(values) -> HessenbergFunction:
     """Validate a sequence of ints as a Hessenberg function."""
@@ -117,10 +115,6 @@ def enumerate_all(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Hessenberg
     return [HessenbergFunction(p) for p in prefixes]
 
 
-# n -> the classes of S_n, built by _split_by_class on first use
-_CLASSES: dict[int, list[tuple[Permutation, int, list[Permutation]]]] = {}
-
-
 def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> list[Permutation]:
     """Permutations w with the flag (e_w(1), ..., e_w(n)) fixed in Hess(h),
     in lexicographic order.
@@ -133,64 +127,67 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
 
     is itself a Hessenberg function.  So S_n splits into Catalan(n)
     classes C_g = {w : m_w = g}, and the fixed points of h are the union
-    of the classes C_g with g <= h, sorted.  The classes are built once
-    per n, on first use, and kept for n <= DEFAULT_PERMUTATION_CAP: about
-    70 KB for all n <= 6 and 0.65 MB more at n = 7 (tracemalloc).  A
-    larger n (with a raised cap) builds its classes for the one call only.
+    of the classes C_g with g <= h, sorted, read from the table of S_n
+    (_symmetric_group, 1.1 MB held for all n <= 7).
     """
     n = h.n
     if n > cap:
         raise ResourceLimitError(
             f"fixed points for n = {n} (up to {n}! flags) exceed the cap {cap}"
         )
-    classes = _CLASSES.get(n)
-    if classes is None:
-        classes = _split_by_class(n)
-        if n <= DEFAULT_PERMUTATION_CAP:
-            _CLASSES[n] = classes
     outside = ~_cells(h.values)
     out: list[Permutation] = []
-    for _, cells, members in classes:
+    for _, cells, members in _split_by_class(n):
         if not cells & outside:  # g <= h pointwise
             out += members
     out.sort()
     return out
 
 
-# n -> S_n ranked in lexicographic order, built by permutation_ranks on first use
-_RANKS: dict[int, dict[Permutation, int]] = {}
-
-
 def permutation_ranks(n: int) -> dict[Permutation, int]:
     """Each w in S_n mapped to its 0-based rank in lexicographic
     (itertools.permutations) order; iterating the dict gives S_n in that
-    order.  Built once per n, on first use, and kept for n <=
-    DEFAULT_PERMUTATION_CAP: about 0.13 MB for all n <= 6 and 0.76 MB more
-    at n = 7 (tracemalloc).  A larger n is built for the one call only.
-    """
-    ranks = _RANKS.get(n)
-    if ranks is None:
-        ranks = {w: k for k, w in enumerate(permutations(range(1, n + 1)))}
-        if n <= DEFAULT_PERMUTATION_CAP:
-            _RANKS[n] = ranks
-    return ranks
+    order.  Read from the table of S_n (_symmetric_group, 1.1 MB held for
+    all n <= 7)."""
+    return _symmetric_group(n)[0]
 
 
 def _split_by_class(n: int) -> list[tuple[Permutation, int, list[Permutation]]]:
     """One (g, _cells(g), C_g) per class of S_n; each C_g in lexicographic
-    order."""
-    classes: dict[Permutation, list[Permutation]] = {}
-    position = [0] * (n + 1)  # position[v] of value v in w; position[0] stays 0
-    for w in permutations(range(1, n + 1)):
-        for j, v in enumerate(w, start=1):
-            position[v] = j
-        top = 0
-        key = []
-        for j, v in enumerate(w, start=1):
-            top = max(top, j, position[v - 1])
-            key.append(top)
-        classes.setdefault(tuple(key), []).append(w)
-    return [(g, _cells(g), members) for g, members in classes.items()]
+    order.  Read from the table of S_n."""
+    return _symmetric_group(n)[1]
+
+
+# n -> (ranks, classes) of S_n, built by _symmetric_group on first use
+_S_N: dict[int, tuple] = {}
+
+
+def _symmetric_group(n: int) -> tuple:
+    """The table of S_n: the ranks {w: rank} in lexicographic order and the
+    Catalan(n) classes (g, _cells(g), C_g) of equal m_w, whose members are
+    the rank dict's own keys, so each permutation is one tuple.  Built once
+    per n, on first use, and kept for n <= DEFAULT_PERMUTATION_CAP: 0.19 MB
+    for all n <= 6 and 0.92 MB more at n = 7 (tracemalloc).  A larger n
+    (with a raised cap) is built for the one call only.
+    """
+    table = _S_N.get(n)
+    if table is None:
+        ranks = {w: k for k, w in enumerate(permutations(range(1, n + 1)))}
+        classes: dict[Permutation, list[Permutation]] = {}
+        position = [0] * (n + 1)  # position[v] of value v in w; position[0] stays 0
+        for w in ranks:
+            for j, v in enumerate(w, start=1):
+                position[v] = j
+            top = 0
+            key = []
+            for j, v in enumerate(w, start=1):
+                top = max(top, j, position[v - 1])
+                key.append(top)
+            classes.setdefault(tuple(key), []).append(w)
+        table = ranks, [(g, _cells(g), members) for g, members in classes.items()]
+        if n <= DEFAULT_PERMUTATION_CAP:
+            _S_N[n] = table
+    return table
 
 
 def _cells(values) -> int:

@@ -16,9 +16,9 @@ from hesscoh.generators import (
     peterson_rewrite_factor,
     q_flag,
 )
-from hesscoh.hessenberg import parse_hessenberg
+from hesscoh.hessenberg import enumerate_all, parse_hessenberg
 from hesscoh.latexout import factored_latex, latex_document, poly_latex
-from hesscoh.polyring import elementary_symmetric, power_sum, t_var, x_var, zero
+from hesscoh.polyring import elementary_symmetric, one, power_sum, t_var, x_var, zero
 
 
 def test_p_sum_values():
@@ -191,6 +191,34 @@ def test_ideal_modes():
     )
     with pytest.raises(ValueError):
         ideal_generators(h, "quantum")
+
+
+def test_restriction_lemma_by_explicit_cofactors():
+    # I(h') is inside I(h) for h <= h', as each generator f_{h'(j),j} of I(h')
+    # is an f_{i,j} with i >= h(j).  Cofactors C_k with f_{i,j} = sum_k C_k
+    # f_{h(k),k} come from f_{i,j} = f_{i-1,j-1} + (x_j - x_i - t) f_{i-1,j},
+    # f_{i,0} = 0: by induction on i, as i - 1 >= h(j) >= h(j - 1).  Each sum
+    # is compared exactly with the closed form, for every h with n <= 5.
+    checked = 0
+    for n in range(1, 6):
+        for h in enumerate_all(n):
+            gens = ideal_generators(h).generators  # f_{h(k),k}
+            cofactors = {}
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i < h(j):
+                        continue
+                    if i == h(j):
+                        c = [one(n) if k == j else zero(n) for k in range(1, n + 1)]
+                    else:
+                        left = cofactors[i - 1, j - 1] if j > 1 else [zero(n)] * n
+                        factor = linear_factor(j, i, n)
+                        c = [a + factor * b for a, b in zip(left, cofactors[i - 1, j])]
+                    cofactors[i, j] = c
+                    combination = sum((ck * g for ck, g in zip(c, gens)), zero(n))
+                    assert combination == f_closed(i, j, n), (h.values, i, j)
+                    checked += 1
+    assert checked == 586
 
 
 def test_generator_matrix_shape():

@@ -16,6 +16,7 @@ from hesscoh.hessenberg import (
     flag_function,
     oracle_fixed_point_check,
     parse_hessenberg,
+    permutation_ranks,
     peterson_function,
 )
 
@@ -176,3 +177,12 @@ def test_classes_partition_s_n_by_their_keys():
             assert HessenbergFunction(g).values == g
             assert ws == sorted(ws)
             assert all(m_w(w) == g for w in ws), g
+
+
+def test_classes_and_ranks_hold_one_tuple_per_permutation():
+    for n in range(1, 8):
+        ranks = permutation_ranks(n)
+        assert list(ranks.items()) == [(w, k) for k, w in enumerate(permutations(range(1, n + 1)))]
+        keys = {w: w for w in ranks}  # each permutation -> the rank dict's own key
+        assert all(w is keys[w] for _, _, ws in _split_by_class(n) for w in ws)
+        assert all(w is keys[w] for w in fixed_points(flag_function(n)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -10,7 +11,7 @@ import pytest
 
 import hesscoh.verify as verify_module
 from hesscoh.generators import f_inductive, ideal_generators
-from hesscoh.hessenberg import enumerate_all, fixed_points, parse_hessenberg
+from hesscoh.hessenberg import enumerate_all, fixed_points, parse_hessenberg, permutation_ranks
 from hesscoh.polyring import Polynomial, poly_to_dict, t_var, x_var
 from hesscoh.verify import (
     CHECK_NAMES,
@@ -25,6 +26,7 @@ from hesscoh.verify import (
     check_peterson,
     check_t_zero_at,
     _integer_generators,
+    _mask,
     _surviving,
     _vanishing_witness,
     _zero_sets,
@@ -170,13 +172,19 @@ def test_exactness_check():
 
 
 VANISHES, SURVIVES = "vanishes but not a fixed point", "fixed point with a surviving generator"
+NOT_A_PERMUTATION = "not a permutation of 1..n"
 
 
 def _scan_exactness(h):
-    """Reference: the per-permutation scan of S_n that the zero sets replaced."""
+    """Reference: the per-permutation scan of S_n that the zero sets replaced,
+    after the first point that is not a permutation of 1..n, if any."""
     gens = _integer_generators(ideal_generators(h, "equivariant").generators)
-    fixed = set(verify_module.fixed_points(h))
+    points = verify_module.fixed_points(h)
     scope = {"h": list(h.values), "n": h.n}
+    for w in points:
+        if sorted(w) != list(range(1, h.n + 1)):
+            return scope, {"w": list(w), "problem": NOT_A_PERMUTATION}
+    fixed = set(points)
     for w in permutations(range(1, h.n + 1)):
         vanishes = _surviving(w, gens) is None
         member = w in fixed
@@ -191,7 +199,7 @@ def _scan_exactness(h):
 @pytest.mark.parametrize("tamper, problems", [
     (lambda points: points, set()),
     (lambda points: points[1:], {VANISHES}),
-    (lambda points: [*points, (2, 3, 1)], {SURVIVES}),
+    (lambda points: [*points, (2, 3, 1)], {SURVIVES, NOT_A_PERMUTATION}),
     (lambda points: list(permutations(sorted(points[0]))), {SURVIVES}),
 ], ids=["untampered", "fixed-point-dropped", "non-fixed-point-added", "all-of-s-n-claimed"])
 def test_exactness_rows_match_the_permutation_scan(monkeypatch, tamper, problems):
@@ -239,6 +247,33 @@ def test_exactness_catches_both_directions(monkeypatch, tamper, witness):
     assert not result.passed
     assert result.scope == {"h": [2, 3, 3], "n": 3}
     assert result.witness == witness
+
+
+@pytest.mark.parametrize("strays", [[(3, 3, 1)], [(1, 2)], [(1, 2, 3, 4), (1, 1, 1)]],
+                         ids=["repeated-value", "too-short", "two-strays"])
+def test_permutation_checks_name_the_first_point_not_a_permutation(monkeypatch, strays):
+    # points of (2,3,3) from the second on replaced, so the count still holds
+    h = parse_hessenberg((2, 3, 3))
+    monkeypatch.setattr(verify_module, "fixed_points",
+                        lambda h: [*fixed_points(h)[:1], *strays, *fixed_points(h)[1 + len(strays):]])
+    witness = {"w": list(strays[0]), "problem": NOT_A_PERMUTATION}
+    for check in (check_localization_vanishing, check_fixed_point_exactness):
+        result = check(h)
+        assert (result.passed, result.scope, result.witness) == (
+            False, {"h": [2, 3, 3], "n": 3}, witness), check
+
+
+def test_mask_matches_the_sum_of_bits():
+    # differential against the sum(1 << rank) form _mask replaced
+    rng = random.Random(16)
+    for n in range(1, 8):
+        ranks = permutation_ranks(n)
+        perms = list(ranks)
+        for size in (0, 1, len(perms), *(rng.randrange(len(perms) + 1) for _ in range(4))):
+            subset = rng.sample(perms, size)
+            assert _mask(subset, ranks) == sum(1 << ranks[w] for w in subset), (n, size)
+    with pytest.raises(KeyError):
+        _mask([(1, 1)], permutation_ranks(2))
 
 
 def test_peterson_check():
