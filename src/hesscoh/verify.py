@@ -357,7 +357,8 @@ def _vanishing_witness(h: HessenbergFunction, w, integer_generators) -> dict | N
 def check_localization_vanishing(h: HessenbergFunction):
     """Every generator of I(h) dies at every S^1-fixed point of Hess(h), and
     there are prod_j (h(j) - j + 1) of them: the Euler characteristic,
-    by Tymoczko's affine paving, i.e. the Poincare polynomial at q = 1."""
+    by Tymoczko's affine paving, i.e. the Poincare polynomial at q = 1.
+    After the count, a point that is not a permutation of 1..n fails."""
     gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     points = fixed_points(h)
     scope = _h_scope(h.values)
@@ -375,19 +376,14 @@ def check_localization_vanishing(h: HessenbergFunction):
     return scope, None
 
 
-_SURVIVES = "fixed point with a surviving generator"
-
-
-def _exactness_witness(h: HessenbergFunction, points) -> dict | None:
+def _exactness_witness(h: HessenbergFunction, points,
+                       survives: str = "fixed point with a surviving generator") -> dict | None:
     """None when the permutations that kill all generators of I(h) are
-    exactly points, else the witness of the first disagreement.
-
-    Both sides are bitmasks over S_n in lexicographic order: the AND of
-    the generators' zero sets and the _mask of points.  The lowest set bit
-    of their XOR is the first permutation where they disagree, so the
-    witness is the one a lexicographic scan of S_n stops at.  A point that
-    is not a permutation of 1..n fails before any comparison.
-    """
+    exactly points.  Else the witness at the lowest set bit of the XOR of
+    two bitmasks over S_n, the AND of the generators' zero sets and the
+    _mask of points: the permutation a lexicographic scan of S_n stops at.
+    A point that is not a permutation of 1..n fails before any comparison;
+    a point with a surviving generator gets the problem text survives."""
     ranks = permutation_ranks(h.n)
     stray = _stray_witness(points, ranks)
     if stray is not None:
@@ -403,17 +399,15 @@ def _exactness_witness(h: HessenbergFunction, points) -> dict | None:
     w = next(islice(ranks, k, None))
     if vanishing >> k & 1:
         return {"w": list(w), "problem": "vanishes but not a fixed point"}
-    return {**_vanishing_witness(h, w, _integer_generators(generators)), "problem": _SURVIVES}
+    return {**_vanishing_witness(h, w, _integer_generators(generators)), "problem": survives}
 
 
 @_check("fixed-point-exactness")
 def check_fixed_point_exactness(h: HessenbergFunction):
-    """w kills all generators of I(h)  <=>  w is a fixed point of Hess(h),
-    decided over S_n by _exactness_witness.  A sweep to n <= 7 leaves
-    1.9 MB held (tracemalloc): the table of S_n for every n (1.1 MB, shared
-    with fixed_points), the 84 zero sets (21 KB), and the generators and
-    integer terms it shares with the localization sweep.
-    """
+    """w kills all generators of I(h)  <=>  w is a fixed point of Hess(h).
+    A sweep to n <= 7 leaves 1.9 MB held (tracemalloc): the table of S_n
+    (1.1 MB, shared with fixed_points), the 84 zero sets (21 KB), and the
+    generators and integer terms it shares with the localization sweep."""
     points = fixed_points(h)
     scope = _h_scope(h.values)
     witness = _exactness_witness(h, points)
@@ -608,10 +602,8 @@ def _control_localization():
 
 def _control_exactness():
     h = HessenbergFunction((2, 3, 3))
-    witness = _exactness_witness(h, [*fixed_points(h), (2, 3, 1)])  # 231 is not a fixed point
-    if witness is not None and witness["problem"] == _SURVIVES:
-        witness["problem"] = "claimed fixed point with surviving generator"  # the control's wording
-    return witness
+    return _exactness_witness(h, [*fixed_points(h), (2, 3, 1)],  # 231 is not a fixed point
+                              survives="claimed fixed point with surviving generator")
 
 
 def _control_peterson():
