@@ -7,11 +7,9 @@ cohomological convention, i.e. twice the internal weight.
 
 Exit codes: 0 success, 1 verification failure, 2 resource cap hit,
 64 usage error, 70 a verify --jobs worker process died, 74 I/O error
-(an --out file or a hilbert cache entry could not be written, or any
-other OSError inside a command).
-
-Only hilbert takes a Groebner cache dir (--cache-dir or the environment
-variable HESSCOH_CACHE_DIR); verify computes every basis it checks.
+(an --out file could not be written, or any other OSError inside a
+command).  hilbert and verify compute every Groebner basis they use: no
+command reads or writes one on disk.
 """
 
 from __future__ import annotations
@@ -138,41 +136,29 @@ def _format_permutation(w) -> str:
     return " ".join(map(str, w))
 
 
+def _emit_listing(args, lines: list[str], payload: dict) -> int:
+    """Emit a listing: its lines and a count line as text, or payload, which
+    holds the count, as JSON."""
+    if args.format == "text":
+        _emit("\n".join([*lines, f"count: {payload['count']}"]), args.out)
+    else:
+        _emit(_json_text(payload), args.out)
+    return EXIT_OK
+
+
 def _cmd_fixed_points(args) -> int:
     h = parse_hessenberg(args.h)
     points = fixed_points(h, cap=args.cap)
-    if args.format == "text":
-        lines = [_format_permutation(w) for w in points]
-        lines.append(f"count: {len(points)}")
-        _emit("\n".join(lines), args.out)
-    else:
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "fixed-points",
-            "h": list(h.values),
-            "count": len(points),
-            "fixedPoints": [list(w) for w in points],
-        }
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _emit_listing(args, [_format_permutation(w) for w in points], {
+        "schemaVersion": SCHEMA_VERSION, "command": "fixed-points", "h": list(h.values),
+        "count": len(points), "fixedPoints": [list(w) for w in points]})
 
 
 def _cmd_enumerate(args) -> int:
     functions = enumerate_all(args.n, cap=args.cap)
-    if args.format == "text":
-        lines = [",".join(map(str, h.values)) for h in functions]
-        lines.append(f"count: {len(functions)}")
-        _emit("\n".join(lines), args.out)
-    else:
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "enumerate",
-            "n": args.n,
-            "count": len(functions),
-            "functions": [list(h.values) for h in functions],
-        }
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _emit_listing(args, [",".join(map(str, h.values)) for h in functions], {
+        "schemaVersion": SCHEMA_VERSION, "command": "enumerate", "n": args.n,
+        "count": len(functions), "functions": [list(h.values) for h in functions]})
 
 
 def _poincare_text(series, denominator_power: int) -> str:
@@ -200,8 +186,7 @@ def _cmd_hilbert(args) -> int:
     h = parse_hessenberg(args.h)
     count = len(fixed_points(h))  # before the Groebner work, so a cap refuses it up front
     ideal = ideal_generators(h, args.mode)
-    cache_dir = args.cache_dir or os.environ.get("HESSCOH_CACHE_DIR") or None
-    gb = buchberger(ideal.generators, pair_budget=args.pair_budget, cache_dir=cache_dir)
+    gb = buchberger(ideal.generators, pair_budget=args.pair_budget)
     data = hilbert_series(gb)
     dimension = "infinite" if data.quotient_dimension is None else data.quotient_dimension
     text = _poincare_text(data.series, data.denominator_power)
@@ -298,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Poincare series and dimension of the quotient")
     p.add_argument("--h", required=True, type=_csv_ints, metavar="H1,H2,...")
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    p.add_argument("--cache-dir", help="Groebner cache (or env HESSCOH_CACHE_DIR)")
     common(p, mode=True)
     p.set_defaults(func=_cmd_hilbert)
 

@@ -41,10 +41,10 @@ For quotient invariants the ambient ring is Q[x_1..x_n] when no basis
 element mentions t (ordinary mode) and Q[x_1..x_n, t] otherwise; the
 t slot of the exponent tuples is inert in the first case.
 
-Only buchberger reads and writes the on-disk cache, through its
-cache_dir argument, which the `hilbert` command and library callers
-set.  A loaded basis is trusted as it stands, so the equality helpers
-take no cache_dir: they compute both bases on every call.
+Only buchberger reads and writes an on-disk cache, through its
+cache_dir argument, which no command sets: a library-only path, kept
+for perfbench's hilbert passes and to be removed with them.  A
+well-formed entry is trusted as it stands and never re-checked.
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ SYMBOLIC_CAP = 6
 EXACTNESS_CAP = 5
 GROEBNER_CAP = 4
 EQUIVARIANT_FLAG_CAP = 3
+NOT_A_PERMUTATION = "not a permutation of 1..n"
 
 
 @dataclass
@@ -320,10 +321,12 @@ def _mask(points, ranks) -> int:
 
 def _stray_witness(points, ranks) -> dict | None:
     """{"w", "problem"} for the first of points that is not a permutation of
-    1..n, i.e. not a key of ranks; None when every point is one."""
+    1..n (a key of ranks) or repeats an earlier one; None when there is none."""
+    seen = set()
     for w in points:
-        if w not in ranks:
-            return {"w": list(w), "problem": "not a permutation of 1..n"}
+        if w in seen or w not in ranks:
+            return {"w": list(w), "problem": "repeated point" if w in seen else NOT_A_PERMUTATION}
+        seen.add(w)
     return None
 
 
@@ -353,27 +356,36 @@ def _vanishing_witness(h: HessenbergFunction, w, integer_generators) -> dict | N
     return {"w": list(w), "j": j, "residue": poly_to_dict(value * t_var(h.n) ** weight)}
 
 
+def _localization_witness(h: HessenbergFunction, points) -> dict | None:
+    """None when the points number prod_j (h(j) - j + 1), are distinct
+    permutations of 1..n and kill every generator of I(h); else the witness
+    of the first of these three parts, in that order, that fails."""
+    expected = sum(poincare_product(h))
+    if len(points) != expected:
+        return {"part": "fixed-point-count", "expected": expected, "count": len(points)}
+    stray = _stray_witness(points, permutation_ranks(h.n))
+    if stray is not None:
+        return stray
+    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
+    for w in points:
+        witness = _vanishing_witness(h, w, gens)
+        if witness is not None:
+            return witness
+    return None
+
+
 @_check("localization")
 def check_localization_vanishing(h: HessenbergFunction):
     """Every generator of I(h) dies at every S^1-fixed point of Hess(h), and
     there are prod_j (h(j) - j + 1) of them: the Euler characteristic,
     by Tymoczko's affine paving, i.e. the Poincare polynomial at q = 1.
-    After the count, a point that is not a permutation of 1..n fails."""
-    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
+    After the count, a stray or repeated point (_stray_witness) fails."""
     points = fixed_points(h)
     scope = _h_scope(h.values)
-    expected = sum(poincare_product(h))
-    if len(points) != expected:
-        return scope, {"part": "fixed-point-count", "expected": expected, "count": len(points)}
-    stray = _stray_witness(points, permutation_ranks(h.n))
-    if stray is not None:
-        return scope, stray
-    for w in points:
-        witness = _vanishing_witness(h, w, gens)
-        if witness is not None:
-            return scope, witness
-    scope["fixedPoints"] = len(points)
-    return scope, None
+    witness = _localization_witness(h, points)
+    if witness is None:
+        scope["fixedPoints"] = len(points)
+    return scope, witness
 
 
 def _exactness_witness(h: HessenbergFunction, points,
@@ -382,7 +394,7 @@ def _exactness_witness(h: HessenbergFunction, points,
     exactly points.  Else the witness at the lowest set bit of the XOR of
     two bitmasks over S_n, the AND of the generators' zero sets and the
     _mask of points: the permutation a lexicographic scan of S_n stops at.
-    A point that is not a permutation of 1..n fails before any comparison;
+    A stray or repeated point (_stray_witness) fails before any comparison;
     a point with a surviving generator gets the problem text survives."""
     ranks = permutation_ranks(h.n)
     stray = _stray_witness(points, ranks)
@@ -412,7 +424,7 @@ def check_fixed_point_exactness(h: HessenbergFunction):
     scope = _h_scope(h.values)
     witness = _exactness_witness(h, points)
     if witness is None:
-        scope["fixedPoints"] = len(set(points))
+        scope["fixedPoints"] = len(points)
     return scope, witness
 
 
@@ -596,8 +608,8 @@ def _control_t_zero():
 
 def _control_localization():
     h = HessenbergFunction((2, 3, 3))
-    gens = _integer_generators(ideal_generators(h, "equivariant").generators)
-    return _vanishing_witness(h, (2, 3, 1), gens)  # 231 is not a fixed point
+    # 231 is not a fixed point; in place of 321 it keeps the count
+    return _localization_witness(h, [(2, 3, 1) if w == (3, 2, 1) else w for w in fixed_points(h)])
 
 
 def _control_exactness():

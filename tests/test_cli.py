@@ -18,6 +18,9 @@ import hesscoh
 import hesscoh.verify as verify_module
 from hesscoh.cli import main
 from hesscoh.errors import ResourceLimitError
+from hesscoh.generators import ideal_generators
+from hesscoh.groebner import buchberger
+from hesscoh.hessenberg import parse_hessenberg
 from hesscoh.verify import CheckResult, VerificationReport
 
 
@@ -213,17 +216,21 @@ def test_hilbert_refuses_past_the_permutation_cap_before_groebner_work(monkeypat
     assert err.startswith("resource cap:") and err.count("\n") == 1
 
 
-def test_hilbert_cache_dir_env(tmp_path, monkeypatch):
+def test_hilbert_ignores_a_tampered_cache_entry(tmp_path, monkeypatch):
+    # hilbert computes its basis: an entry missing a basis element, which
+    # buchberger(cache_dir=) would load as it stands, changes nothing
+    ideal = ideal_generators(parse_hessenberg((2, 3, 3)), "ordinary")
+    buchberger(ideal.generators, cache_dir=tmp_path)
+    [entry] = tmp_path.glob("gb-*.json")
+    data = json.loads(entry.read_text())
+    data["basis"].pop()
+    entry.write_text(json.dumps(data))
+    assert len(buchberger(ideal.generators, cache_dir=tmp_path).basis) == len(data["basis"])
+    argv = ["hilbert", "--h", "2,3,3", "--mode", "ordinary"]
+    plain = run_main(argv)
     monkeypatch.setenv("HESSCOH_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_main(["hilbert", "--h", "2,3,3"])
-    assert code == 0
-    assert list(tmp_path.glob("gb-*.json"))
-
-
-def test_hilbert_cache_dir_flag(tmp_path):
-    code, _, _ = run_main(["hilbert", "--h", "2,2", "--cache-dir", str(tmp_path)])
-    assert code == 0
-    assert len(list(tmp_path.glob("gb-*.json"))) == 1
+    assert run_main(argv) == plain
+    assert plain[0] == 0 and "poincare: 1 + 2*q^2 + q^4" in plain[1].splitlines()
 
 
 # -- verify -----------------------------------------------------------------------
@@ -439,12 +446,14 @@ def test_missing_required_argument():
 @pytest.mark.parametrize("argv, option, extra", [
     (["verify", "--cache-dir", "X"], "--no-timing", "--cache-dir X"),
     (["hilbert", "--h", "2,3,3", "--bogus"], "--mode", "--bogus"),
-], ids=["verify", "hilbert"])
+    (["hilbert", "--h", "2,3,3", "--cache-dir", "X"], "--pair-budget", "--cache-dir X"),
+], ids=["verify", "hilbert", "hilbert-cache-dir"])
 def test_unknown_option_shows_the_subcommand_usage(argv, option, extra):
     code, out, err = run_main(argv)
     assert code == 64 and out == ""
     usage, error = err.split("\nhesscoh: error: ")
     assert usage.startswith(f"usage: hesscoh {argv[0]} [-h]") and option in usage
+    assert extra.split()[0] not in usage
     assert error == f"unrecognized arguments: {extra}\n"
 
 

@@ -172,19 +172,23 @@ def test_exactness_check():
 
 
 VANISHES, SURVIVES = "vanishes but not a fixed point", "fixed point with a surviving generator"
-NOT_A_PERMUTATION = "not a permutation of 1..n"
+NOT_A_PERMUTATION, REPEATED = "not a permutation of 1..n", "repeated point"
 
 
 def _scan_exactness(h):
     """Reference: the per-permutation scan of S_n that the zero sets replaced,
-    after the first point that is not a permutation of 1..n, if any."""
+    after the first point that is not a permutation of 1..n or repeats an
+    earlier one, if any."""
     gens = _integer_generators(ideal_generators(h, "equivariant").generators)
     points = verify_module.fixed_points(h)
     scope = {"h": list(h.values), "n": h.n}
+    fixed = set()
     for w in points:
         if sorted(w) != list(range(1, h.n + 1)):
             return scope, {"w": list(w), "problem": NOT_A_PERMUTATION}
-    fixed = set(points)
+        if w in fixed:
+            return scope, {"w": list(w), "problem": REPEATED}
+        fixed.add(w)
     for w in permutations(range(1, h.n + 1)):
         vanishes = _surviving(w, gens) is None
         member = w in fixed
@@ -199,7 +203,7 @@ def _scan_exactness(h):
 @pytest.mark.parametrize("tamper, problems", [
     (lambda points: points, set()),
     (lambda points: points[1:], {VANISHES}),
-    (lambda points: [*points, (2, 3, 1)], {SURVIVES, NOT_A_PERMUTATION}),
+    (lambda points: [*points, (2, 3, 1)], {SURVIVES, NOT_A_PERMUTATION, REPEATED}),
     (lambda points: list(permutations(sorted(points[0]))), {SURVIVES}),
 ], ids=["untampered", "fixed-point-dropped", "non-fixed-point-added", "all-of-s-n-claimed"])
 def test_exactness_rows_match_the_permutation_scan(monkeypatch, tamper, problems):
@@ -249,18 +253,31 @@ def test_exactness_catches_both_directions(monkeypatch, tamper, witness):
     assert result.witness == witness
 
 
-@pytest.mark.parametrize("strays", [[(3, 3, 1)], [(1, 2)], [(1, 2, 3, 4), (1, 1, 1)]],
-                         ids=["repeated-value", "too-short", "two-strays"])
-def test_permutation_checks_name_the_first_point_not_a_permutation(monkeypatch, strays):
-    # points of (2,3,3) from the second on replaced, so the count still holds
+def _from_second(*strays):
+    # the points of (2,3,3) from the second on replaced, so the count still holds
+    return lambda points: [*points[:1], *strays, *points[1 + len(strays):]]
+
+
+@pytest.mark.parametrize("tamper, witness, localization", [
+    (_from_second((3, 3, 1)), {"w": [3, 3, 1], "problem": NOT_A_PERMUTATION}, None),
+    (_from_second((1, 2)), {"w": [1, 2], "problem": NOT_A_PERMUTATION}, None),
+    (_from_second((1, 2, 3, 4), (1, 1, 1)), {"w": [1, 2, 3, 4], "problem": NOT_A_PERMUTATION},
+     None),
+    (lambda points: [*points[:-1], (1, 2, 3)], {"w": [1, 2, 3], "problem": REPEATED}, None),
+    (lambda points: [*points, (1, 2, 3)], {"w": [1, 2, 3], "problem": REPEATED},
+     {"part": "fixed-point-count", "expected": 4, "count": 5}),
+], ids=["repeated-value", "too-short", "two-strays", "repeat-in-place-of-321", "repeat-appended"])
+def test_permutation_checks_name_the_first_point_not_a_permutation(
+        monkeypatch, tamper, witness, localization):
+    # localization fails on its count first, where there is a count to fail
     h = parse_hessenberg((2, 3, 3))
-    monkeypatch.setattr(verify_module, "fixed_points",
-                        lambda h: [*fixed_points(h)[:1], *strays, *fixed_points(h)[1 + len(strays):]])
-    witness = {"w": list(strays[0]), "problem": NOT_A_PERMUTATION}
-    for check in (check_localization_vanishing, check_fixed_point_exactness):
+    assert fixed_points(h)[-1] == (3, 2, 1)
+    monkeypatch.setattr(verify_module, "fixed_points", lambda h: tamper(fixed_points(h)))
+    for check, expected in ((check_localization_vanishing, localization or witness),
+                            (check_fixed_point_exactness, witness)):
         result = check(h)
         assert (result.passed, result.scope, result.witness) == (
-            False, {"h": [2, 3, 3], "n": 3}, witness), check
+            False, {"h": [2, 3, 3], "n": 3}, expected), check
 
 
 def test_mask_matches_the_sum_of_bits():
