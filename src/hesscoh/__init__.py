@@ -25,7 +25,6 @@ from .generators import (
 from .groebner import (
     GroebnerBasis,
     HilbertData,
-    MonomialOrder,
     buchberger,
     hilbert_series,
     ideal_equality,
@@ -65,7 +64,6 @@ __all__ = [
     "HessenbergFunction",
     "HilbertData",
     "InvalidHessenbergError",
-    "MonomialOrder",
     "NotZeroDimensionalError",
     "Polynomial",
     "PresentedIdeal",

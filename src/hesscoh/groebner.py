@@ -21,8 +21,8 @@ basis; normal_form divides the integer remainder by the scale it applied.
 Inside the integer core a monomial is one int (Monagan & Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comput. 2011).  Its low
 bits hold one FIELD_BITS-wide field per variable, whose top bit is a
-guard bit; above them sits MonomialOrder.heap_key, a linear form in the
-exponents with integer weights (smaller key = larger monomial).  Both
+guard bit; above them sits the heap key, a linear form in the exponents
+with integer weights (_heap_weights; smaller key = larger monomial).  Both
 parts are linear, so a product of monomials is +, the quotient by a
 divisor is -, ``a`` divides ``b`` iff ``(b - a) & guard`` is 0, and the
 ints sort as their heap keys: the pending terms form a heap of plain
@@ -32,10 +32,9 @@ rather than carry into the next field.  Exponent tuples remain at the
 boundary: Polynomial in and out, the pair lcms, the reduced basis and
 the cache.
 
-Monomial orders act on the dense exponent tuples of polyring.  The
-default is degrevlex with x_1 > ... > x_n > t; an explicit variable
-priority (a permutation of 0..n, highest first, with n meaning t) can
-be supplied.
+There is one monomial order, polyring's canonical one: degrevlex with
+x_1 > ... > x_n > t (polyring.canonical_key), the order the
+presentations are displayed in.
 
 For quotient invariants the ambient ring is Q[x_1..x_n] when no basis
 element mentions t (ordinary mode) and Q[x_1..x_n, t] otherwise; the
@@ -61,11 +60,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, NotZeroDimensionalError, ResourceLimitError
-from .polyring import Monomial, Polynomial, poly_from_dict, poly_to_dict
+from .polyring import Monomial, Polynomial, canonical_key, poly_from_dict, poly_to_dict
 
 DEFAULT_PAIR_BUDGET = 200_000
-
-ORDER_KINDS = ("degrevlex", "deglex", "lex")
 
 CACHE_SCHEMA_VERSION = 1
 
@@ -73,83 +70,18 @@ FIELD_BITS = 16  # per variable in a packed monomial, guard bit included
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order on exponent tuples.
+def _heap_weights(nvars: int) -> tuple[int, ...]:
+    """The weight of each variable in the heap key, an ascending sort key
+    (smaller key = larger monomial) that is linear in the exponents.
 
-    priority lists variable indices from most to least significant
-    (0..n-1 are x_1..x_n, n is t); None means the natural order
-    x_1 > ... > x_n > t.
+    The key reads (-degree, the exponents in reverse) as one number in
+    base B = MAX_EXPONENT + 1, the degree digit weighing B**nvars, so
+    variable v weighs B**v - B**nvars.  It orders every monomial whose
+    exponents are at most MAX_EXPONENT.
     """
-
-    kind: str = "degrevlex"
-    priority: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ORDER_KINDS:
-            raise ValueError(f"order kind must be one of {ORDER_KINDS}, got {self.kind!r}")
-        if self.priority is not None:
-            pr = tuple(self.priority)
-            if sorted(pr) != list(range(len(pr))):
-                raise ValueError(f"priority must be a permutation of 0..{len(pr) - 1}, got {pr}")
-            object.__setattr__(self, "priority", pr)
-
-    def _by_priority(self, exponents: Monomial) -> Monomial:
-        if self.priority is None:
-            return exponents
-        if len(self.priority) != len(exponents):
-            raise ValueError(
-                f"priority covers {len(self.priority)} variables, monomial has {len(exponents)}"
-            )
-        return tuple(exponents[i] for i in self.priority)
-
-    def key(self, exponents: Monomial) -> tuple:
-        """Sort key; larger key = larger monomial."""
-        e = self._by_priority(exponents)
-        if self.kind == "degrevlex":
-            return (sum(e), tuple(-v for v in reversed(e)))
-        if self.kind == "deglex":
-            return (sum(e), e)
-        return e  # lex
-
-    def heap_key(self, exponents: Monomial) -> int:
-        """Ascending sort key; smaller key = larger monomial.
-
-        A linear form with integer weights (_heap_weights), so
-        heap_key(a + b) = heap_key(a) + heap_key(b).  It orders every
-        monomial whose exponents are at most MAX_EXPONENT.
-        """
-        return sum(map(mul, _heap_weights(self, len(exponents)), exponents))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MonomialOrder":
-        pr = data.get("priority")
-        return cls(kind=data["kind"], priority=tuple(pr) if pr else None)
-
-
-def _heap_weights(order: MonomialOrder, nvars: int) -> tuple[int, ...]:
-    """The weight of each variable in order.heap_key.
-
-    The key reads (-degree, the exponents in reverse priority) for
-    degrevlex, (-degree, minus the exponents in priority) for deglex
-    and minus the exponents in priority for lex, each as one number in
-    base B = MAX_EXPONENT + 1; the degree digit weighs B**nvars.
-    """
-    priority = order.priority if order.priority is not None else range(nvars)
-    if len(priority) != nvars:
-        raise ValueError(f"priority covers {len(priority)} variables, monomial has {nvars}")
     base = MAX_EXPONENT + 1
-    degree = 0 if order.kind == "lex" else -base ** nvars
-    weights = [0] * nvars
-    for rank, v in enumerate(priority):
-        if order.kind == "degrevlex":
-            weights[v] = degree + base ** rank
-        else:
-            weights[v] = degree - base ** (nvars - 1 - rank)
-    return tuple(weights)
+    degree = base ** nvars
+    return tuple(base ** v - degree for v in range(nvars))
 
 
 @dataclass
@@ -169,10 +101,9 @@ class GroebnerStats:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis: monic, inter-reduced, sorted by leading
-    monomial (ascending in the order)."""
+    monomial (ascending in degrevlex)."""
 
     n: int
-    order: MonomialOrder
     basis: tuple[Polynomial, ...]
     stats: GroebnerStats = field(compare=False)
 
@@ -181,13 +112,13 @@ class GroebnerBasis:
         return any(exps[self.n] for g in self.basis for exps in g.terms)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [leading_term(g, self.order)[0] for g in self.basis]
+        return [leading_term(g)[0] for g in self.basis]
 
 
-def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Monomial, Fraction]:
+def leading_term(p: Polynomial) -> tuple[Monomial, Fraction]:
     if p.is_zero():
         raise ValueError("the zero polynomial has no leading term")
-    exps = max(p.terms, key=order.key)
+    exps = max(p.terms, key=canonical_key)
     return exps, p.terms[exps]
 
 
@@ -219,16 +150,16 @@ def _common_n(polys: Sequence[Polynomial]) -> int:
 # an integer polynomial.
 
 
-def _pack_weights(order: MonomialOrder, nvars: int) -> tuple[int, ...]:
+def _pack_weights(nvars: int) -> tuple[int, ...]:
     """The packed monomial of each variable: its heap-key weight above the
     fields, and a 1 in its own field."""
     low = FIELD_BITS * nvars
     return tuple((w << low) + (1 << FIELD_BITS * v)
-                 for v, w in enumerate(_heap_weights(order, nvars)))
+                 for v, w in enumerate(_heap_weights(nvars)))
 
 
 def _pack(exponents: Monomial, weights: tuple[int, ...]) -> int:
-    """The packed monomial; weights is _pack_weights of the ring and order."""
+    """The packed monomial; weights is _pack_weights of the ring."""
     if max(exponents) > MAX_EXPONENT:
         raise _overflow()
     return sum(map(mul, weights, exponents))
@@ -249,10 +180,10 @@ def _overflow() -> ResourceLimitError:
     )
 
 
-def _integer_terms(p: Polynomial, order: MonomialOrder) -> tuple[dict[int, int], int]:
+def _integer_terms(p: Polynomial) -> tuple[dict[int, int], int]:
     """(d * p as an integer polynomial, d) for d the lcm of the denominators."""
     d = lcm(*(c.denominator for c in p.terms.values()))
-    weights = _pack_weights(order, p.n + 1)
+    weights = _pack_weights(p.n + 1)
     return {_pack(e, weights): c.numerator * (d // c.denominator) for e, c in p.terms.items()}, d
 
 
@@ -267,12 +198,12 @@ def _reducer(terms: dict[int, int], lt: int) -> tuple:
     return lt, terms[lt], {e: c for e, c in terms.items() if e != lt}
 
 
-def _reducer_table(polys: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
+def _reducer_table(polys: Sequence[Polynomial]) -> list[tuple]:
     """Reducers of nonzero polynomials; the leading monomial is the
     smallest packed int."""
     table = []
     for p in polys:
-        terms = _integer_terms(p, order)[0]
+        terms = _integer_terms(p)[0]
         table.append(_reducer(terms, min(terms)))
     return table
 
@@ -330,8 +261,8 @@ def _reduce(work: dict[int, int], table: Sequence[tuple], guard: int) -> tuple[d
     return remainder, scale, steps
 
 
-def _normal_form(f: Polynomial, table: Sequence[tuple], order: MonomialOrder) -> Polynomial:
-    work, denominator = _integer_terms(f, order)
+def _normal_form(f: Polynomial, table: Sequence[tuple]) -> Polynomial:
+    work, denominator = _integer_terms(f)
     remainder, scale, _ = _reduce(work, table, _guard(f.n + 1))
     d = scale * denominator
     return Polynomial._raw(f.n, {_unpack(e, f.n + 1): Fraction(c, d) for e, c in remainder.items()})
@@ -357,25 +288,23 @@ def _s_terms(a: tuple, b: tuple, pair_lcm: int, guard: int) -> dict[int, int]:
     return work
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder | None = None) -> Polynomial:
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of f under multivariate division by basis.
 
     No term of the result is divisible by any leading monomial of the
     basis.  Reducers are tried in list order, so the result is
     deterministic; for a Groebner basis it is the unique normal form.
     """
-    order = order or MonomialOrder()
     reducers = [b for b in basis if not b.is_zero()]
     if not reducers:
         raise ValueError("normal_form needs a nonempty basis")
     _common_n([f, *reducers])
-    return _normal_form(f, _reducer_table(reducers, order), order)
+    return _normal_form(f, _reducer_table(reducers))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    order = order or MonomialOrder()
-    lf, cf = leading_term(f, order)
-    lg, cg = leading_term(g, order)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    lf, cf = leading_term(f)
+    lg, cg = leading_term(g)
     lcm = _lcm(lf, lg)
     return _shift(f, _quotient(lcm, lf), 1 / cf) - _shift(g, _quotient(lcm, lg), 1 / cg)
 
@@ -389,7 +318,7 @@ def _shift(p: Polynomial, exps: Monomial, scale: Fraction) -> Polynomial:
 
 def buchberger(
     generators: Iterable[Polynomial],
-    order: MonomialOrder | None = None,
+    *,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     cache_dir: str | Path | None = None,
 ) -> GroebnerBasis:
@@ -402,18 +331,17 @@ def buchberger(
     than pair_budget processed pairs raises ResourceLimitError.
 
     With cache_dir set, the result is stored under a content hash of
-    (generators, order) and reloaded on repeat calls.
+    the generators and reloaded on repeat calls.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("buchberger needs at least one generator")
     n = _common_n(gens)
-    order = order or MonomialOrder()
 
     cache_path = None
     if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"gb-{_cache_key(n, order, gens)}.json"
-        cached = _cache_load(cache_path, n, order)
+        cache_path = Path(cache_dir) / f"gb-{_cache_key(n, gens)}.json"
+        cached = _cache_load(cache_path, n)
         if cached is not None:
             return cached
 
@@ -421,11 +349,11 @@ def buchberger(
     # leads[k] is its packed leading monomial, that monomial's exponent
     # tuple, the bitmask of the variables in it, and its degree
     table: list[tuple] = []
-    for reducer in _reducer_table([g for g in gens if not g.is_zero()], order):
+    for reducer in _reducer_table([g for g in gens if not g.is_zero()]):
         if reducer not in table:
             table.append(reducer)
     nvars = n + 1
-    weights = _pack_weights(order, nvars)
+    weights = _pack_weights(nvars)
     guard = _guard(nvars)
     leads: list[tuple] = []
 
@@ -477,7 +405,7 @@ def buchberger(
         push_pairs(len(table) - 1)
 
     reduced = _reduce_basis(n, table, guard, stats)
-    result = GroebnerBasis(n=n, order=order, basis=tuple(reduced), stats=stats)
+    result = GroebnerBasis(n=n, basis=tuple(reduced), stats=stats)
     if cache_path is not None:
         _cache_store(cache_path, result)
     return result
@@ -524,13 +452,13 @@ def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:
         return True
     if not gb.basis:
         return False
-    return normal_form(f, gb.basis, gb.order).is_zero()
+    return normal_form(f, gb.basis).is_zero()
 
 
 def ideal_equality_witness(
     gens_a: Sequence[Polynomial],
     gens_b: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
+    *,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> dict | None:
     """None if the two generating sets span the same ideal.
@@ -540,9 +468,8 @@ def ideal_equality_witness(
     ideal of gens_a) or "left-in-right", "generator": its 1-based index,
     "normalForm": its normal form as poly_to_dict}.
     """
-    order = order or MonomialOrder()
-    gb_a = buchberger(gens_a, order, pair_budget)
-    gb_b = buchberger(gens_b, order, pair_budget)
+    gb_a = buchberger(gens_a, pair_budget=pair_budget)
+    gb_b = buchberger(gens_b, pair_budget=pair_budget)
     return basis_equality_witness(gens_a, gb_a, gens_b, gb_b)
 
 
@@ -556,9 +483,9 @@ def basis_equality_witness(
     gb_b, Groebner bases of the ideals of gens_a and gens_b."""
     _common_n([*gens_a, *gens_b])
     for label, gens, gb in (("right-in-left", gens_b, gb_a), ("left-in-right", gens_a, gb_b)):
-        table = _reducer_table(gb.basis, gb.order)
+        table = _reducer_table(gb.basis)
         for idx, g in enumerate(gens, start=1):
-            r = _normal_form(g, table, gb.order)
+            r = _normal_form(g, table)
             if not r.is_zero():
                 return {"direction": label, "generator": idx, "normalForm": poly_to_dict(r)}
     return None
@@ -567,11 +494,11 @@ def basis_equality_witness(
 def ideal_equality(
     gens_a: Sequence[Polynomial],
     gens_b: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
+    *,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> bool:
     """Whether the two generating sets span the same ideal."""
-    return ideal_equality_witness(gens_a, gens_b, order, pair_budget) is None
+    return ideal_equality_witness(gens_a, gens_b, pair_budget=pair_budget) is None
 
 
 # -- quotient invariants ---------------------------------------------------
@@ -620,7 +547,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
             seen.add(cand)
             if not any(_divides(lt, cand) for lt in lts):
                 queue.append(cand)
-    out.sort(key=gb.order.key)
+    out.sort(key=canonical_key)
     return out
 
 
@@ -763,12 +690,14 @@ def _trim(coeffs: list[int]) -> list[int]:
 # -- on-disk cache ----------------------------------------------------------
 
 
-def _cache_key(n: int, order: MonomialOrder, gens: list[Polynomial]) -> str:
+def _cache_key(n: int, gens: list[Polynomial]) -> str:
+    # the order record every key has hashed; kept as a literal so that
+    # entry names already on disk stay valid
     payload = json.dumps(
         {
             "schemaVersion": CACHE_SCHEMA_VERSION,
             "n": n,
-            "order": order.to_dict(),
+            "order": {"kind": "degrevlex", "priority": None},
             "generators": [poly_to_dict(g) for g in gens],
         },
         sort_keys=True,
@@ -777,7 +706,7 @@ def _cache_key(n: int, order: MonomialOrder, gens: list[Polynomial]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
-def _cache_load(path: Path, n: int, order: MonomialOrder) -> GroebnerBasis | None:
+def _cache_load(path: Path, n: int) -> GroebnerBasis | None:
     """The cached basis, or None (a miss) for a missing or unreadable entry,
     another schema version, or a basis polynomial from another ring.
 
@@ -793,7 +722,7 @@ def _cache_load(path: Path, n: int, order: MonomialOrder) -> GroebnerBasis | Non
         return None
     if any(g.n != n for g in basis):
         return None
-    return GroebnerBasis(n=n, order=order, basis=basis, stats=stats)
+    return GroebnerBasis(n=n, basis=basis, stats=stats)
 
 
 def _cache_store(path: Path, gb: GroebnerBasis) -> None:

@@ -115,9 +115,6 @@ class Polynomial:
         degrees = {sum(e) for e in self._terms}
         return len(degrees) <= 1
 
-    def coefficient(self, exponents: Monomial) -> Fraction:
-        return self._terms.get(tuple(exponents), _ZERO)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical (grevlex, descending) order.
 
@@ -296,14 +293,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(n={self.n}, {self})"
-
-    # -- pickling (slots) -------------------------------------------------
-
-    def __getstate__(self):
-        return (self.n, self._terms)
-
-    def __setstate__(self, state):
-        self.n, self._terms = state
 
 
 def _mul_terms(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from hesscoh.generators import ideal_generators
-from hesscoh.groebner import MonomialOrder, _cache_key, buchberger
+from hesscoh.groebner import _cache_key, buchberger
 from hesscoh.hessenberg import HessenbergFunction
 
 FIXTURE = Path(__file__).with_name("cache_golden.json")
@@ -34,7 +34,7 @@ def capture(values, mode, cache_dir: Path) -> dict:
     gens = list(ideal_generators(HessenbergFunction(values), mode).generators)
     buchberger(gens, cache_dir=cache_dir)
     (entry,) = cache_dir.iterdir()
-    return {"key": _cache_key(len(values), MonomialOrder(), gens),
+    return {"key": _cache_key(len(values), gens),
             "file": entry.name, "entry": entry.read_text()}
 
 

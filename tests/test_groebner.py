@@ -27,12 +27,11 @@ from hesscoh.errors import (
 from hesscoh.generators import ideal_generators
 from hesscoh.groebner import (
     MAX_EXPONENT,
-    ORDER_KINDS,
     GroebnerBasis,
     GroebnerStats,
-    MonomialOrder,
     _divides,
     _guard,
+    _heap_weights,
     _pack,
     _pack_weights,
     _unpack,
@@ -52,7 +51,16 @@ from hesscoh.hessenberg import (
     parse_hessenberg,
     peterson_function,
 )
-from hesscoh.polyring import Polynomial, one, poly_to_dict, power_sum, t_var, x_var, zero
+from hesscoh.polyring import (
+    Polynomial,
+    canonical_key,
+    one,
+    poly_to_dict,
+    power_sum,
+    t_var,
+    x_var,
+    zero,
+)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -64,14 +72,13 @@ def _div(a, b):
 
 def _assert_reduced_groebner(gb, gens):
     """Certify gb independently of how buchberger got there."""
-    order = gb.order
     basis = gb.basis
     assert basis
-    lts = [leading_term(g, order)[0] for g in basis]
-    keys = [order.key(m) for m in lts]
+    lts = [leading_term(g)[0] for g in basis]
+    keys = [canonical_key(m) for m in lts]
     assert keys == sorted(keys), "basis not sorted ascending by leading monomial"
     for g in basis:
-        assert leading_term(g, order)[1] == 1, "basis element not monic"
+        assert leading_term(g)[1] == 1, "basis element not monic"
     for idx, g in enumerate(basis):
         for m in g.terms:
             for jdx, lt in enumerate(lts):
@@ -81,15 +88,15 @@ def _assert_reduced_groebner(gb, gens):
     # Buchberger criterion: every S-polynomial reduces to zero
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            s = s_polynomial(basis[a], basis[b], order)
+            s = s_polynomial(basis[a], basis[b])
             if not s.is_zero():
-                assert normal_form(s, basis, order).is_zero(), (a, b)
+                assert normal_form(s, basis).is_zero(), (a, b)
     # the input ideal is contained in the basis ideal
     for g in gens:
         if not g.is_zero():
-            assert normal_form(g, basis, order).is_zero()
+            assert normal_form(g, basis).is_zero()
     # a reduced basis is a fixed point of the algorithm
-    again = buchberger(list(basis), order)
+    again = buchberger(list(basis))
     assert again.basis == basis
 
 
@@ -170,14 +177,14 @@ def _expand_series(data, bound):
 # counts, plus the basis elements that S-pairs add.
 
 
-def _ref_normal_form(f, basis, order):
+def _ref_normal_form(f, basis):
     """(remainder, reduction steps) of textbook division in list order."""
-    table = [leading_term(b, order) + (b.terms,) for b in basis if not b.is_zero()]
+    table = [leading_term(b) + (b.terms,) for b in basis if not b.is_zero()]
     work = dict(f.terms)
     remainder = {}
     steps = 0
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=canonical_key)
         c = work.pop(m)
         for lt, lc, terms in table:
             if _div(lt, m):
@@ -199,17 +206,17 @@ def _ref_normal_form(f, basis, order):
     return Polynomial(f.n, remainder), steps
 
 
-def _ref_monic(p, order):
-    return p * (1 / leading_term(p, order)[1])
+def _ref_monic(p):
+    return p * (1 / leading_term(p)[1])
 
 
-def _ref_buchberger(gens, order):
+def _ref_buchberger(gens):
     """(reduced basis, stats as a dict, basis elements added by S-pairs)."""
     basis = []
     for g in gens:
-        if not g.is_zero() and _ref_monic(g, order) not in basis:
-            basis.append(_ref_monic(g, order))
-    lts = [leading_term(g, order)[0] for g in basis]
+        if not g.is_zero() and _ref_monic(g) not in basis:
+            basis.append(_ref_monic(g))
+    lts = [leading_term(g)[0] for g in basis]
     stats = dict(pairs_processed=0, reductions_to_zero=0, product_skips=0,
                  chain_skips=0, reduction_steps=0)
     heap, pending = [], set()
@@ -217,7 +224,7 @@ def _ref_buchberger(gens, order):
     def push_pairs(j):
         for i in range(j):
             lcm = tuple(map(max, lts[i], lts[j]))
-            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
+            heapq.heappush(heap, (sum(lcm), canonical_key(lcm), i, j))
             pending.add((i, j))
 
     for j in range(len(basis)):
@@ -237,80 +244,48 @@ def _ref_buchberger(gens, order):
                for k in range(len(basis))):
             stats["chain_skips"] += 1
             continue
-        r, steps = _ref_normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r, steps = _ref_normal_form(s_polynomial(basis[i], basis[j]), basis)
         stats["reduction_steps"] += steps
         if r.is_zero():
             stats["reductions_to_zero"] += 1
             continue
-        basis.append(_ref_monic(r, order))
-        lts.append(leading_term(basis[-1], order)[0])
+        basis.append(_ref_monic(r))
+        lts.append(leading_term(basis[-1])[0])
         added += 1
         push_pairs(len(basis) - 1)
     reduced = []
-    for g in sorted(basis, key=lambda g: order.key(leading_term(g, order)[0])):
-        if not any(_div(leading_term(k, order)[0], leading_term(g, order)[0]) for k in reduced):
+    for g in sorted(basis, key=lambda g: canonical_key(leading_term(g)[0])):
+        if not any(_div(leading_term(k)[0], leading_term(g)[0]) for k in reduced):
             reduced.append(g)
     for idx in range(len(reduced)):
-        r, steps = _ref_normal_form(reduced[idx], reduced[:idx] + reduced[idx + 1:], order)
+        r, steps = _ref_normal_form(reduced[idx], reduced[:idx] + reduced[idx + 1:])
         stats["reduction_steps"] += steps
-        reduced[idx] = _ref_monic(r, order)
+        reduced[idx] = _ref_monic(r)
     return tuple(reduced), stats, added
 
 
-def _assert_matches_reference(gens, order=None):
+def _assert_matches_reference(gens):
     """The engine's basis and counters equal the textbook route's; returns
     (engine basis, elements added)."""
-    order = order or MonomialOrder()
-    gb = buchberger(gens, order)
-    ref_basis, ref_stats, added = _ref_buchberger(gens, order)
+    gb = buchberger(gens)
+    ref_basis, ref_stats, added = _ref_buchberger(gens)
     assert [poly_to_dict(g) for g in gb.basis] == [poly_to_dict(g) for g in ref_basis]
     assert dataclasses.asdict(gb.stats) == ref_stats
     return gb, added
 
 
-# -- monomial orders ---------------------------------------------------------
+# -- packed monomials -----------------------------------------------------------
 
 
-def test_order_key_frozen_comparisons():
-    dr = MonomialOrder()
-    assert dr.kind == "degrevlex"
-    # degree decides first
-    assert dr.key((2, 0, 0, 0)) > dr.key((1, 0, 0, 0))
-    assert dr.key((0, 0, 3)) > dr.key((2, 0, 0))
-    # same degree: degrevlex prefers the monomial lacking the last variable
-    assert dr.key((1, 1, 0)) > dr.key((0, 2, 0))
-    assert dr.key((1, 0, 1)) > dr.key((0, 1, 1))
-    assert dr.key((2, 0, 0)) > dr.key((1, 1, 0)) > dr.key((0, 2, 0)) > dr.key((1, 0, 1))
-    dl = MonomialOrder("deglex")
-    assert dl.key((1, 0, 1)) > dl.key((0, 2, 0))  # deglex disagrees with degrevlex here
-    assert dr.key((0, 2, 0)) > dr.key((1, 0, 1))
-    lex = MonomialOrder("lex")
-    assert lex.key((1, 0, 0)) > lex.key((0, 5, 5))
-
-
-def test_order_priority_permutes_variables():
-    swapped = MonomialOrder("degrevlex", priority=(1, 0, 2))  # x2 > x1 > t
-    assert swapped.key((0, 1, 0)) > swapped.key((1, 0, 0))
-    natural = MonomialOrder()
-    assert natural.key((1, 0, 0)) > natural.key((0, 1, 0))
+def _heap_key(exponents):
+    return sum(w * e for w, e in zip(_heap_weights(len(exponents)), exponents))
 
 
 def test_heap_key_is_key_reversed():
     monomials = [m for m in itertools.product(range(3), repeat=4)]
-    orders = [MonomialOrder(kind) for kind in ("degrevlex", "deglex", "lex")]
-    orders += [MonomialOrder(kind, priority=(2, 0, 3, 1)) for kind in ("degrevlex", "deglex", "lex")]
-    for order in orders:
-        descending = sorted(monomials, key=order.key, reverse=True)
-        assert sorted(monomials, key=order.heap_key) == descending, order
-
-# -- packed monomials -----------------------------------------------------------
-
-
-@st.composite
-def _orders(draw, nvars):
-    kind = draw(st.sampled_from(ORDER_KINDS))
-    priority = draw(st.none() | st.permutations(range(nvars)).map(tuple))
-    return MonomialOrder(kind, priority)
+    weights = _pack_weights(4)
+    assert (sorted(monomials, key=lambda m: _pack(m, weights))
+            == sorted(monomials, key=canonical_key, reverse=True))
 
 
 def _monomials(nvars, top=MAX_EXPONENT):
@@ -321,43 +296,42 @@ def _monomials(nvars, top=MAX_EXPONENT):
 
 
 @st.composite
-def _order_and_monomials(draw, count, top=MAX_EXPONENT):
+def _monomial_lists(draw, count, top=MAX_EXPONENT):
     nvars = draw(st.integers(1, 7))
-    return draw(_orders(nvars)), [draw(_monomials(nvars, top)) for _ in range(count)]
+    return [draw(_monomials(nvars, top)) for _ in range(count)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_order_and_monomials(1))
-def test_pack_unpack_round_trip(case):
-    order, (m,) = case
-    assert _unpack(_pack(m, _pack_weights(order, len(m))), len(m)) == m
+@given(_monomial_lists(1))
+def test_pack_unpack_round_trip(monomials):
+    (m,) = monomials
+    assert _unpack(_pack(m, _pack_weights(len(m))), len(m)) == m
 
 
 @settings(max_examples=100, deadline=None)
-@given(_order_and_monomials(2, top=MAX_EXPONENT // 2))
-def test_heap_key_and_packing_are_additive(case):
-    order, (a, b) = case
+@given(_monomial_lists(2, top=MAX_EXPONENT // 2))
+def test_heap_key_and_packing_are_additive(monomials):
+    a, b = monomials
     product = tuple(map(sum, zip(a, b)))
-    assert order.heap_key(product) == order.heap_key(a) + order.heap_key(b)
-    weights = _pack_weights(order, len(a))
+    assert _heap_key(product) == _heap_key(a) + _heap_key(b)
+    weights = _pack_weights(len(a))
     assert _pack(product, weights) == _pack(a, weights) + _pack(b, weights)
 
 
 @settings(max_examples=80, deadline=None)
-@given(_order_and_monomials(8))
-def test_heap_key_and_packing_sort_as_key_reversed(case):
-    order, monomials = case
-    descending = sorted(monomials, key=order.key, reverse=True)
-    assert sorted(monomials, key=order.heap_key) == descending
-    weights = _pack_weights(order, len(monomials[0]))
+@given(_monomial_lists(8))
+def test_heap_key_and_packing_sort_as_key_reversed(monomials):
+    descending = sorted(monomials, key=canonical_key, reverse=True)
+    assert sorted(monomials, key=_heap_key) == descending
+    weights = _pack_weights(len(monomials[0]))
     assert sorted(monomials, key=lambda m: _pack(m, weights)) == descending
 
 
 @settings(max_examples=150, deadline=None)
-@given(_order_and_monomials(2))
-def test_packed_divisibility_agrees_with_divides(case):
-    order, (a, b) = case
-    weights, guard = _pack_weights(order, len(a)), _guard(len(a))
+@given(_monomial_lists(2))
+def test_packed_divisibility_agrees_with_divides(monomials):
+    a, b = monomials
+    weights, guard = _pack_weights(len(a)), _guard(len(a))
     multiple = tuple(min(x + y, MAX_EXPONENT) for x, y in zip(a, b))
     for small, big in ((a, b), (b, a), (a, multiple), (multiple, a)):
         packed = not (_pack(big, weights) - _pack(small, weights)) & guard
@@ -377,45 +351,28 @@ def test_exponent_past_the_packed_field_is_refused():
 
 
 def test_reduction_growing_an_exponent_past_the_packed_field_is_refused():
-    # under lex, x1 - x2^d rewrites x1^k to x2^(k d)
-    n, d = 2, 1000
-    lex = MonomialOrder("lex")
-    x1 = x_var(1, n)
-    g = x1 - Polynomial(n, {(0, d, 0): 1})
-    k = MAX_EXPONENT // d + 1
+    n, e = 2, MAX_EXPONENT // 2 + 1
+    x1e, x2e, te = (Polynomial(n, {m: 1}) for m in ((e, 0, 0), (0, e, 0), (0, 0, e)))
+    # x1^e - x2^e rewrites x1^e x2^e to x2^(2e) inside _reduce
     with pytest.raises(ResourceLimitError, match="packed monomial field"):
-        normal_form(x1 ** k, [g], lex)
+        normal_form(x1e * x2e, [x1e - x2e])
+    # the S-polynomial of x1^e - x2^e and x1 x2^e + t^(e+1) holds x2^(2e)
     with pytest.raises(ResourceLimitError, match="packed monomial field"):
-        buchberger([x1 ** k, g], lex)
-    assert normal_form(x1 ** (k - 1), [g], lex) == Polynomial(n, {(0, (k - 1) * d, 0): 1})
-    # the S-polynomial of x1 - x2^e and x1 x2^e is already x2^(2e)
-    e = MAX_EXPONENT // 2 + 1
-    x2e = Polynomial(n, {(0, e, 0): 1})
-    with pytest.raises(ResourceLimitError, match="packed monomial field"):
-        buchberger([x1 - x2e, x1 * x2e], lex)
-
-
-def test_order_validation():
-    with pytest.raises(ValueError):
-        MonomialOrder("grlex")
-    with pytest.raises(ValueError):
-        MonomialOrder("lex", priority=(0, 0, 1))
-    with pytest.raises(ValueError):
-        MonomialOrder(priority=(2, 1)).key((1, 0, 0))
-
-
-def test_order_round_trip():
-    for order in (MonomialOrder(), MonomialOrder("lex", priority=(2, 0, 1))):
-        assert MonomialOrder.from_dict(order.to_dict()) == order
+        buchberger([x1e - x2e, x_var(1, n) * x2e + te * t_var(n)])
+    # one power of x2 lower, both reach x2^MAX_EXPONENT and stop there
+    x1_x2e_1 = Polynomial(n, {(1, e - 1, 0): 1})
+    at_bound = Polynomial(n, {(0, MAX_EXPONENT, 0): 1})
+    assert normal_form(Polynomial(n, {(e, e - 1, 0): 1}), [x1e - x2e]) == at_bound
+    assert buchberger([x1e - x2e, x1_x2e_1]).basis == (x1_x2e_1, x1e - x2e, at_bound)
 
 
 def test_leading_term():
     n = 2
     p = x_var(1, n) * x_var(2, n) + x_var(2, n) * x_var(2, n) + t_var(n)
-    exps, coeff = leading_term(p, MonomialOrder())
+    exps, coeff = leading_term(p)
     assert exps == (1, 1, 0) and coeff == 1
     with pytest.raises(ValueError):
-        leading_term(zero(n), MonomialOrder())
+        leading_term(zero(n))
 
 
 # -- normal form and small bases ---------------------------------------------
@@ -426,14 +383,14 @@ def test_normal_form_hand_cases():
     gb = buchberger(list(ideal_generators(h, "ordinary").generators))
     n = 2
     x1, x2 = x_var(1, n), x_var(2, n)
-    assert normal_form(x1, gb.basis, gb.order) == -x2
-    assert normal_form(x1 * x1, gb.basis, gb.order).is_zero()
-    assert normal_form(one(n), gb.basis, gb.order) == one(n)
-    assert normal_form(zero(n), gb.basis, gb.order).is_zero()
+    assert normal_form(x1, gb.basis) == -x2
+    assert normal_form(x1 * x1, gb.basis).is_zero()
+    assert normal_form(one(n), gb.basis) == one(n)
+    assert normal_form(zero(n), gb.basis).is_zero()
     with pytest.raises(ValueError):
         normal_form(x1, [])
     with pytest.raises(DimensionMismatchError):
-        normal_form(x_var(1, 3), gb.basis, gb.order)
+        normal_form(x_var(1, 3), gb.basis)
 
 
 def test_normal_form_fraction_remainder_matches_reference():
@@ -441,9 +398,8 @@ def test_normal_form_fraction_remainder_matches_reference():
     x1, x2, t = x_var(1, n), x_var(2, n), t_var(n)
     basis = [3 * x1 * x1 - x2 * t, Fraction(-2, 5) * x1 * x2 + t * t]
     f = Fraction(1, 3) * x1 * x1 * x1 + 2 * x1 * x1 * x2 + Fraction(3, 4) * x2 * t
-    order = MonomialOrder()
-    got = normal_form(f, basis, order)
-    want, _ = _ref_normal_form(f, basis, order)
+    got = normal_form(f, basis)
+    want, _ = _ref_normal_form(f, basis)
     assert got == want
     assert any(c.denominator != 1 for c in got.terms.values())
 
@@ -464,14 +420,7 @@ def test_engine_matches_reference_rational_and_negative_leading_coefficients():
         Fraction(7, 4) * x2 * x2 - 2 * x1 * t,
     ]
     gens.append(Fraction(-5, 2) * gens[1])  # a scalar multiple is dropped as a duplicate
-    orders = [
-        MonomialOrder(),
-        MonomialOrder("deglex"),
-        MonomialOrder("lex"),
-        MonomialOrder("degrevlex", priority=(2, 0, 3, 1)),
-    ]
-    for order in orders:
-        _assert_matches_reference(gens, order)
+    _assert_matches_reference(gens)
 
 
 def test_stats_account_for_every_pair():
@@ -519,8 +468,8 @@ def test_buchberger_zero_ideal():
 def test_basis_equality_ignores_stats():
     n = 1
     basis = (x_var(1, n),)
-    a = GroebnerBasis(n=n, order=MonomialOrder(), basis=basis, stats=GroebnerStats(5, 2))
-    b = GroebnerBasis(n=n, order=MonomialOrder(), basis=basis, stats=GroebnerStats(0, 0))
+    a = GroebnerBasis(n=n, basis=basis, stats=GroebnerStats(5, 2))
+    b = GroebnerBasis(n=n, basis=basis, stats=GroebnerStats(0, 0))
     assert a == b
 
 
@@ -563,21 +512,21 @@ def test_pair_budget_enforced():
         buchberger(gens, pair_budget=0)
 
 
+def test_budgets_are_keyword_only():
+    gens = list(ideal_generators(parse_hessenberg((2, 2)), "ordinary").generators)
+    for call in (lambda: buchberger(gens, 10),
+                 lambda: ideal_equality_witness(gens, gens, 10),
+                 lambda: ideal_equality(gens, gens, 10)):
+        with pytest.raises(TypeError, match="positional"):
+            call()
+
+
 # -- standard monomials -------------------------------------------------------
 
 
 def test_standard_monomials_frozen():
     gb = buchberger(list(ideal_generators(parse_hessenberg((2, 2)), "ordinary").generators))
     assert standard_monomials(gb) == [(0, 0, 0), (0, 1, 0)]  # 1 and x2
-
-
-def test_standard_monomials_under_swapped_priority():
-    # with x2 > x1 the roles flip and x1 survives instead
-    order = MonomialOrder("degrevlex", priority=(1, 0, 2))
-    gb = buchberger(
-        list(ideal_generators(parse_hessenberg((2, 2)), "ordinary").generators), order
-    )
-    assert standard_monomials(gb) == [(0, 0, 0), (1, 0, 0)]
 
 
 def test_standard_monomials_flag_count():
@@ -658,19 +607,6 @@ def test_equivariant_series_is_ordinary_over_one_minus_q():
             assert equivariant.series == ordinary.series
 
 
-def test_hilbert_invariant_under_order_choice():
-    orders = [MonomialOrder(), MonomialOrder("deglex"), MonomialOrder("lex")]
-    for n in range(1, 4):
-        for h in enumerate_all(n):
-            gens = list(ideal_generators(h, "ordinary").generators)
-            seen = {hilbert_series(buchberger(gens, order)) for order in orders}
-            assert len(seen) == 1, h
-    gens = list(ideal_generators(flag_function(4), "ordinary").generators)
-    assert hilbert_series(buchberger(gens)) == hilbert_series(
-        buchberger(gens, MonomialOrder("deglex"))
-    )
-
-
 def test_hilbert_unit_ideal():
     data = hilbert_series(buchberger([one(2)]))
     assert data.series == () and data.quotient_dimension == 0
@@ -732,12 +668,11 @@ def test_cache_round_trip(tmp_path):
 def test_cache_key_distinguishes_order_and_mode(tmp_path):
     gens = list(ideal_generators(parse_hessenberg((2, 2)), "ordinary").generators)
     buchberger(gens, cache_dir=tmp_path)
-    buchberger(gens, MonomialOrder("lex"), cache_dir=tmp_path)
     buchberger(
         list(ideal_generators(parse_hessenberg((2, 2)), "equivariant").generators),
         cache_dir=tmp_path,
     )
-    assert len(list(tmp_path.glob("gb-*.json"))) == 3
+    assert len(list(tmp_path.glob("gb-*.json"))) == 2
 
 
 def test_cache_corruption_recovers(tmp_path):

@@ -11,6 +11,9 @@ benchmark pass does.
 `parse_hessenberg`, `ideal_generators`, `buchberger` (with `cache_dir=`),
 `hilbert_series`, `fixed_points` and `DEFAULT_PAIR_BUDGET`.  No command
 sets a cache dir, so the worker test is the one place that runs the pass.
+Traced, it also checks what `perfbench/run.py` asks of a `hilbert-cold`
+pass: one cache miss per `buchberger` call, which holds only while the
+tracer reads `cache_dir` from `buchberger`'s arguments correctly.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from hesscoh.hessenberg import parse_hessenberg
 from hesscoh.verify import poincare_product
@@ -62,18 +67,24 @@ def test_tracer_installs_and_counts_verify_tasks():
     assert report["fixed_points"] > 0 and report["buchberger"] > 0
 
 
-def test_worker_runs_a_hilbert_pass_into_a_cache_dir(tmp_path):
+@pytest.mark.parametrize("trace", [False, True])
+def test_worker_runs_a_hilbert_pass_into_a_cache_dir(tmp_path, trace):
     tasks = [[[2, 3, 3], "ordinary"], [[2, 3, 3], "equivariant"]]
     spec = {"root": str(ROOT), "kind": "hilbert", "tasks": tasks,
-            "cache_dir": str(tmp_path / "cache"), "trace": False, "spans_out": None,
+            "cache_dir": str(tmp_path / "cache"), "trace": trace,
+            "spans_out": str(tmp_path / "spans.jsonl.gz") if trace else None,
             "out": str(tmp_path / "pass.json")}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     subprocess.run([sys.executable, str(ROOT / "perfbench" / "worker.py"),
                     str(tmp_path / "spec.json")], env=_env(), capture_output=True, text=True,
                    timeout=120, check=True)
-    records = json.loads((tmp_path / "pass.json").read_text())["records"]
+    result = json.loads((tmp_path / "pass.json").read_text())
+    records = result["records"]
     assert [(r["h"], r["mode"], r["denominator_power"]) for r in records] == [
         ([2, 3, 3], "ordinary", 0), ([2, 3, 3], "equivariant", 1)]
     expected = poincare_product(parse_hessenberg((2, 3, 3)))
     assert all(r["series"] == expected for r in records)
     assert len(list((tmp_path / "cache").glob("gb-*.json"))) == 2
+    if trace:
+        layers = result["layers"]
+        assert layers["groebner.cache.misses"] == layers["groebner.buchberger.calls"] == 2
