@@ -274,6 +274,21 @@ def _assert_matches_reference(gens):
     return gb, added
 
 
+# -- monomial order -------------------------------------------------------------
+
+
+def test_order_key_frozen_comparisons():
+    # the engine's one order is degrevlex, keyed by polyring.canonical_key
+    # degree decides first
+    assert canonical_key((2, 0, 0, 0)) > canonical_key((1, 0, 0, 0))
+    assert canonical_key((0, 0, 3)) > canonical_key((2, 0, 0))
+    # same degree: degrevlex prefers the monomial lacking the last variable
+    assert canonical_key((1, 1, 0)) > canonical_key((0, 2, 0))
+    assert canonical_key((1, 0, 1)) > canonical_key((0, 1, 1))
+    assert (canonical_key((2, 0, 0)) > canonical_key((1, 1, 0))
+            > canonical_key((0, 2, 0)) > canonical_key((1, 0, 1)))
+
+
 # -- packed monomials -----------------------------------------------------------
 
 
