@@ -18,6 +18,16 @@ coefficient, tail) in a table that grows with the basis.  Monic Fraction
 polynomials come back only in _reduce_basis, which returns the reduced
 basis; normal_form divides the integer remainder by the scale it applied.
 
+_reduce divides each term by the first reducer in table order whose
+leading monomial divides it, and remembers the answer in a memo: the
+index of that reducer, or how many reducers it has already ruled out.
+Both stay true while the table is only appended to, so buchberger shares
+one memo across its S-pair reductions and _reduce_basis one across its
+pass, each on its own table; every other call starts a fresh memo, and
+no memo outlives the call that made it.  buchberger settles a pair with
+coprime leading monomials (the product criterion) when it queues it, so
+only pairs that may need a reduction enter the heap.
+
 Inside the integer core a monomial is one int (Monagan & Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comput. 2011).  Its low
 bits hold one FIELD_BITS-wide field per variable, whose top bit is a
@@ -28,9 +38,10 @@ divisor is -, ``a`` divides ``b`` iff ``(b - a) & guard`` is 0, and the
 ints sort as their heap keys: the pending terms form a heap of plain
 ints and the leading monomial is the smallest int.  An exponent past
 MAX_EXPONENT, on input or in any product, raises ResourceLimitError
-rather than carry into the next field.  Exponent tuples remain at the
-boundary: Polynomial in and out, the pair lcms, the reduced basis and
-the cache.
+rather than carry into the next field.  The Hilbert series recursion
+packs the leading monomials the same way, with the degree above the
+fields.  Exponent tuples remain at the boundary: Polynomial in and out,
+the pair lcms, the reduced basis and the cache.
 
 There is one monomial order, polyring's canonical one: degrevlex with
 x_1 > ... > x_n > t (polyring.canonical_key), the order the
@@ -51,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -166,7 +178,10 @@ def _pack(exponents: Monomial, weights: tuple[int, ...]) -> int:
 
 
 def _unpack(m: int, nvars: int) -> Monomial:
-    return tuple(m >> FIELD_BITS * v & MAX_EXPONENT for v in range(nvars))
+    """The exponent tuple: the fields as native unsigned 16-bit words
+    (FIELD_BITS is 16), the heap key above them masked off."""
+    fields = m & ((1 << FIELD_BITS * nvars) - 1)
+    return tuple(memoryview(fields.to_bytes(2 * nvars, sys.byteorder)).cast("H"))
 
 
 def _guard(nvars: int) -> int:
@@ -208,32 +223,46 @@ def _reducer_table(polys: Sequence[Polynomial]) -> list[tuple]:
     return table
 
 
-def _reduce(work: dict[int, int], table: Sequence[tuple], guard: int) -> tuple[dict, int, int]:
+def _reduce(work: dict[int, int], table: Sequence[tuple], guard: int,
+            memo: dict[int, int]) -> tuple[dict, int, int]:
     """Divide the integer polynomial `work` (consumed) by the reducers.
 
     Returns (remainder, scale, steps): scale is a positive integer with
     remainder = scale * (the textbook remainder of work), and steps
     counts reducer applications.  No remainder term is divisible by a
-    leading monomial of the table.  Reducers are tried in table order,
-    so the result is deterministic.  Remainder terms are inserted
-    largest first, so the first key is the leading monomial.
+    leading monomial of the table.  Each term is divided by the first
+    reducer in table order whose leading monomial divides it, so the
+    result is deterministic.  Remainder terms are inserted largest
+    first, so the first key is the leading monomial.
+
+    memo maps a packed monomial to the index of that first reducer, or
+    to ~L when none of the first L reducers divides it; only reducers
+    past L are then tried.  An entry stays true while the table is only
+    appended to, so a caller may pass one memo to several calls on one
+    growing table, and must pass a fresh one for any other table.
     """
     heap = list(work)
     heapify(heap)
     remainder: dict[int, int] = {}
     scale = 1
     steps = 0
+    size = len(table)
     while heap:
         m = heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue  # stale entry: m cancelled after it was pushed
-        for lt, lc, tail in table:
-            if not (m - lt) & guard:
-                break
-        else:
-            remainder[m] = c
-            continue
+        k = memo.get(m, -1)
+        if k < 0:
+            for k in range(~k, size):
+                if not (m - table[k][0]) & guard:
+                    break
+            else:
+                memo[m] = ~size
+                remainder[m] = c
+                continue
+            memo[m] = k
+        lt, lc, tail = table[k]
         steps += 1
         g = gcd(c, lc)
         factor, q = lc // g, c // g
@@ -263,7 +292,7 @@ def _reduce(work: dict[int, int], table: Sequence[tuple], guard: int) -> tuple[d
 
 def _normal_form(f: Polynomial, table: Sequence[tuple]) -> Polynomial:
     work, denominator = _integer_terms(f)
-    remainder, scale, _ = _reduce(work, table, _guard(f.n + 1))
+    remainder, scale, _ = _reduce(work, table, _guard(f.n + 1), {})
     d = scale * denominator
     return Polynomial._raw(f.n, {_unpack(e, f.n + 1): Fraction(c, d) for e, c in remainder.items()})
 
@@ -325,10 +354,13 @@ def buchberger(
     """Reduced Groebner basis of the ideal spanned by `generators`.
 
     Pairs are handled in normal-selection order (lcm degree, then the
-    lcm itself, then indices); the product criterion drops coprime
-    pairs and the chain criterion drops (i, j) when some g_k divides
-    the pair lcm and both companion pairs are no longer pending.  More
-    than pair_budget processed pairs raises ResourceLimitError.
+    lcm itself, then indices); the chain criterion drops (i, j) when
+    some g_k divides the pair lcm and both companion pairs have been
+    handled.  The product criterion settles a coprime pair when it is
+    queued: it is counted as processed and skipped right away and never
+    enters the heap.  More than pair_budget processed pairs raises
+    ResourceLimitError.  Every S-pair reduction shares one first-divisor
+    memo (see _reduce), valid because the table is only appended to.
 
     With cache_dir set, the result is stored under a content hash of
     the generators and reloaded on repeat calls.
@@ -347,7 +379,7 @@ def buchberger(
 
     # table[k] is the primitive integer reducer of the k-th basis element;
     # leads[k] is its packed leading monomial, that monomial's exponent
-    # tuple, the bitmask of the variables in it, and its degree
+    # tuple and the bitmask of the variables in it
     table: list[tuple] = []
     for reducer in _reducer_table([g for g in gens if not g.is_zero()]):
         if reducer not in table:
@@ -356,47 +388,48 @@ def buchberger(
     weights = _pack_weights(nvars)
     guard = _guard(nvars)
     leads: list[tuple] = []
-
     heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
+    stats = GroebnerStats()
+
+    def count_processed(pairs: int) -> None:
+        stats.pairs_processed += pairs
+        if stats.pairs_processed > pair_budget:
+            raise ResourceLimitError(
+                f"S-pair budget of {pair_budget} exhausted; the computation is out of scale"
+            )
 
     def push_pairs(j: int) -> None:
-        """Queue (i, j) for every i < j, then record element j's lead."""
+        """Queue (i, j) for every i < j, settling the coprime pairs, then
+        record element j's lead."""
         packed = table[j][0]
         lt = _unpack(packed, nvars)
         support = sum(1 << v for v, e in enumerate(lt) if e)
-        degree = sum(lt)
-        for i, (packed_i, lt_i, support_i, degree_i) in enumerate(leads):
+        coprime = 0
+        for i, (_, lt_i, support_i) in enumerate(leads):
             if support_i & support:
                 # an lcm's fields are no larger than its arguments', so
                 # packing it needs no overflow check
                 lcm = tuple(map(max, lt_i, lt))
                 heappush(heap, (sum(lcm), -sum(map(mul, weights, lcm)), i, j))
-            else:  # coprime: the lcm is the product
-                heappush(heap, (degree_i + degree, -(packed_i + packed), i, j))
-            pending.add((i, j))
-        leads.append((packed, lt, support, degree))
+            else:
+                coprime += 1
+        stats.product_skips += coprime
+        count_processed(coprime)
+        leads.append((packed, lt, support))
 
     for j in range(len(table)):
         push_pairs(j)
 
-    stats = GroebnerStats()
+    memo: dict[int, int] = {}
     while heap:
-        _, neg_lcm, i, j = heappop(heap)
-        pending.discard((i, j))
-        stats.pairs_processed += 1
-        if stats.pairs_processed > pair_budget:
-            raise ResourceLimitError(
-                f"S-pair budget of {pair_budget} exhausted; the computation is out of scale"
-            )
+        degree, neg_lcm, i, j = heappop(heap)
+        count_processed(1)
         pair_lcm = -neg_lcm
-        if pair_lcm == table[i][0] + table[j][0]:
-            stats.product_skips += 1  # coprime leading monomials
-            continue
-        if _chain_criterion(i, j, pair_lcm, table, pending, guard):
+        if _chain_criterion(i, j, pair_lcm, degree, leads, guard):
             stats.chain_skips += 1
             continue
-        remainder, _, steps = _reduce(_s_terms(table[i], table[j], pair_lcm, guard), table, guard)
+        s_terms = _s_terms(table[i], table[j], pair_lcm, guard)
+        remainder, _, steps = _reduce(s_terms, table, guard, memo)
         stats.reduction_steps += steps
         if not remainder:
             stats.reductions_to_zero += 1
@@ -411,15 +444,28 @@ def buchberger(
     return result
 
 
-def _chain_criterion(i, j, pair_lcm, table, pending, guard) -> bool:
-    for k, (lt, _, _) in enumerate(table):
-        if k == i or k == j:
+def _chain_criterion(i, j, pair_lcm, degree, leads, guard) -> bool:
+    """Whether some other g_k divides the lcm of the pair (i, j) while
+    neither (i, k) nor (j, k) is still queued.
+
+    Both companion lcms divide pair_lcm, so each companion sorts before
+    (i, j) in the heap order unless its lcm has the same degree (then it
+    is pair_lcm) and its indices come after (i, j).  A companion sorting
+    before (i, j) was queued no later than it and has been handled; one
+    sorting after it is still queued, since every pair whose indices
+    come after (i, j) was queued no earlier than (i, j).  Coprime pairs,
+    which never enter the heap, count as queued by the same rule.
+    """
+    lt_i, lt_j = leads[i][1], leads[j][1]
+    for k, (packed, lt, _) in enumerate(leads):
+        if k == i or k == j or (pair_lcm - packed) & guard:
             continue
-        if not (pair_lcm - lt) & guard:
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                return True
+        if k < i:
+            return True  # (k, i) and (k, j) both sort before (i, j)
+        if k > j and sum(map(max, lt_i, lt)) == degree:
+            continue  # (i, k) is still queued
+        if sum(map(max, lt_j, lt)) != degree:
+            return True
     return False
 
 
@@ -427,23 +473,27 @@ def _reduce_basis(n: int, table: list[tuple], guard: int,
                   stats: GroebnerStats) -> list[Polynomial]:
     """Minimalize and inter-reduce; the reduced basis is unique.
 
-    Returns monic Fraction polynomials, ascending by leading monomial
-    (descending packed int).
+    The elements are taken by ascending leading monomial (descending
+    packed int).  One whose leading monomial a kept element divides is
+    dropped; the others are reduced against the kept elements before
+    them, which already are reduced, under one memo for the pass.  A
+    later element's leading monomial is larger than every term of an
+    earlier one, so it could divide none of them.
+
+    Returns monic Fraction polynomials, ascending by leading monomial.
     """
-    minimal: list[tuple] = []
-    for reducer in sorted(table, key=lambda r: -r[0]):
-        if all((reducer[0] - kept[0]) & guard for kept in minimal):
-            minimal.append(reducer)
-    for idx, (lt, lc, tail) in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        remainder, _, steps = _reduce({lt: lc, **tail}, others, guard)
-        stats.reduction_steps += steps
-        minimal[idx] = _reducer(remainder, lt)
+    reduced: list[tuple] = []
+    memo: dict[int, int] = {}
+    for lt, lc, tail in sorted(table, key=lambda r: -r[0]):
+        if all((lt - kept[0]) & guard for kept in reduced):
+            remainder, _, steps = _reduce({lt: lc, **tail}, reduced, guard, memo)
+            stats.reduction_steps += steps
+            reduced.append(_reducer(remainder, lt))
     nvars = n + 1
     return [
         Polynomial._raw(n, {_unpack(lt, nvars): Fraction(1),
                             **{_unpack(e, nvars): Fraction(c, lc) for e, c in tail.items()}})
-        for lt, lc, tail in minimal
+        for lt, lc, tail in reduced
     ]
 
 
@@ -592,8 +642,7 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertData:
         return HilbertData(series=(), denominator_power=0, quotient_dimension=0)
     active = _active_vars(gb)
     m = len(active)
-    projected = [tuple(e[v] for v in active) for e in lts]
-    numerator = _hilbert_numerator(_minimalize(projected), m)
+    numerator = _numerator([tuple(e[v] for v in active) for e in lts], m)
     cancels = 0
     while cancels < m:
         quotient, ok = _divide_one_minus_q(numerator)
@@ -610,17 +659,35 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertData:
     return HilbertData(series=tuple(coeffs), denominator_power=remaining, quotient_dimension=None)
 
 
-def _minimalize(gens: list[tuple]) -> list[tuple]:
-    gens = sorted(set(gens), key=lambda g: (sum(g), g))
-    out: list[tuple] = []
-    for g in gens:
-        if not any(_divides(kept, g) for kept in out):
+def _numerator(monomials: list[Monomial], m: int) -> list[int]:
+    """Numerator K with Hilb(R/M) = K(q)/(1-q)^m for the monomial ideal M
+    spanned by exponent tuples of length m.
+
+    The recursion runs on packed monomials: one FIELD_BITS-wide field per
+    variable under a guard bit, as in the integer core, and the degree
+    above the fields, so that ints sort by degree first and ``a`` divides
+    ``b`` iff ``(b - a) & guard`` is 0.  An exponent past MAX_EXPONENT
+    raises ResourceLimitError.
+    """
+    low = FIELD_BITS * m
+    units = tuple((1 << low) + (1 << FIELD_BITS * v) for v in range(m))
+    guard = _guard(m)
+    return _hilbert_numerator(_minimalize([_pack(e, units) for e in monomials], guard),
+                              units, guard)
+
+
+def _minimalize(gens: list[int], guard: int) -> list[int]:
+    """The minimal generators of a packed monomial ideal, ascending."""
+    out: list[int] = []
+    for g in sorted(set(gens)):
+        if all((g - kept) & guard for kept in out):
             out.append(g)
     return out
 
 
-def _hilbert_numerator(gens: list[tuple], m: int) -> list[int]:
-    """Numerator K with Hilb(R/M) = K(q)/(1-q)^m for the monomial ideal M.
+def _hilbert_numerator(gens: list[int], units: tuple[int, ...], guard: int) -> list[int]:
+    """_numerator of the minimal packed generators gens; units[v] is the
+    packed variable v.
 
     Splits on a pivot variable occurring in the most mixed generators:
     K(M) = K(M + (x)) + q * K(M : x); pure-power ideals are the base
@@ -628,27 +695,26 @@ def _hilbert_numerator(gens: list[tuple], m: int) -> list[int]:
     """
     if not gens:
         return [1]
-    if any(sum(g) == 0 for g in gens):
-        return [0]
-    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not gens[0]:
+        return [0]  # a degree-0 generator sorts first: the unit ideal
+    m = len(units)
+    # x + MAX_EXPONENT sets the guard bit of a field x iff x is nonzero
+    nonzero = [(g + (guard >> FIELD_BITS - 1) * MAX_EXPONENT) & guard for g in gens]
+    mixed = [z for z in nonzero if z & (z - 1)]
     if not mixed:
         out = [1]
         for g in gens:
-            out = _mul_one_minus_power(out, sum(g))
+            out = _mul_one_minus_power(out, g >> FIELD_BITS * m)
         return out
-    counts = [0] * m
-    for g in mixed:
-        for v in range(m):
-            if g[v]:
-                counts[v] += 1
+    counts = [sum(z >> shift & 1 for z in mixed)
+              for shift in range(FIELD_BITS - 1, FIELD_BITS * m, FIELD_BITS)]
     pivot = max(range(m), key=lambda v: (counts[v], -v))
-    unit = tuple(1 if v == pivot else 0 for v in range(m))
-    plus = _minimalize(gens + [unit])
-    colon = _minimalize(
-        [tuple(e - 1 if v == pivot and e else e for v, e in enumerate(g)) for g in gens]
-    )
-    left = _hilbert_numerator(plus, m)
-    right = _hilbert_numerator(colon, m)
+    unit, shift = units[pivot], FIELD_BITS * pivot + FIELD_BITS - 1
+    plus = _minimalize(gens + [unit], guard)
+    colon = _minimalize([g - unit if z >> shift & 1 else g for g, z in zip(gens, nonzero)],
+                        guard)
+    left = _hilbert_numerator(plus, units, guard)
+    right = _hilbert_numerator(colon, units, guard)
     return _poly_add(left, [0] + right)
 
 

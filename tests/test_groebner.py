@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesscoh.errors import (
@@ -26,14 +26,21 @@ from hesscoh.errors import (
 )
 from hesscoh.generators import ideal_generators
 from hesscoh.groebner import (
+    FIELD_BITS,
     MAX_EXPONENT,
     GroebnerBasis,
     GroebnerStats,
     _divides,
     _guard,
     _heap_weights,
+    _integer_terms,
+    _mul_one_minus_power,
+    _numerator,
     _pack,
     _pack_weights,
+    _poly_add,
+    _reduce,
+    _reducer_table,
     _unpack,
     buchberger,
     hilbert_series,
@@ -316,11 +323,22 @@ def _monomial_lists(draw, count, top=MAX_EXPONENT):
     return [draw(_monomials(nvars, top)) for _ in range(count)]
 
 
+def _ref_unpack(m, nvars):
+    """Shift-and-mask unpacking, the reference for _unpack's byte view."""
+    return tuple(m >> FIELD_BITS * v & MAX_EXPONENT for v in range(nvars))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_monomial_lists(1))
+@example([(0,) * 7])
+@example([(MAX_EXPONENT,) * 7])
+@example([(MAX_EXPONENT, 0, 0, MAX_EXPONENT)])
+@example([(0, MAX_EXPONENT)])
 def test_pack_unpack_round_trip(monomials):
     (m,) = monomials
-    assert _unpack(_pack(m, _pack_weights(len(m))), len(m)) == m
+    packed = _pack(m, _pack_weights(len(m)))
+    assert (packed < 0) == any(m)  # the heap key above the fields is negative
+    assert _unpack(packed, len(m)) == _ref_unpack(packed, len(m)) == m
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,6 +437,37 @@ def test_normal_form_fraction_remainder_matches_reference():
     assert any(c.denominator != 1 for c in got.terms.values())
 
 
+def test_reduce_memo_carried_across_an_appended_table():
+    # the generators of an equivariant ideal and then its basis, appended
+    # one by one: a monomial no prefix reducer divides meets a divisor
+    # later, and many monomials have more than one divisor
+    h = flag_function(3)
+    gens = list(ideal_generators(h, "equivariant").generators)
+    reducers = gens + list(buchberger(gens).basis)
+    x1, x2, x3, t = x_var(1, 3), x_var(2, 3), x_var(3, 3), t_var(3)
+    works = [x1 * x1 * x2 * x3, x1 * x2 * x2 * t + x3 * x3 * x3, x1 ** 4 - x2 * x3 * t * t,
+             x1 * x1 * x2 + x2 * x2 * x3 + x3 * x3 * t + t * t * t]
+    guard = _guard(4)
+    table, carried = [], {}
+    for k, reducer in enumerate(_reducer_table(reducers)):
+        table.append(reducer)
+        shared = {}  # one memo for this table, as in _reduce_basis
+        for f in works + works:
+            work, _ = _integer_terms(f)
+            fresh = _reduce(dict(work), table, guard, {})
+            assert _reduce(dict(work), table, guard, carried) == fresh
+            assert _reduce(dict(work), table, guard, shared) == fresh
+            remainder, scale, steps = fresh
+            want, want_steps = _ref_normal_form(f, reducers[:k + 1])
+            assert steps == want_steps
+            assert Polynomial(3, {_unpack(e, 4): Fraction(c, scale) for e, c in remainder.items()}) == want
+    assert any(v < 0 for v in carried.values()) and any(v >= 0 for v in carried.values())
+    # normal_form keeps no memo from one basis to the next
+    for basis in (gens, reducers[::-1], gens):
+        for f in works:
+            assert normal_form(f, basis) == _ref_normal_form(f, basis)[0]
+
+
 def test_engine_matches_reference_every_h_small_n():
     for n in range(1, 5):
         for h in enumerate_all(n):
@@ -436,6 +485,17 @@ def test_engine_matches_reference_rational_and_negative_leading_coefficients():
     ]
     gens.append(Fraction(-5, 2) * gens[1])  # a scalar multiple is dropped as a duplicate
     _assert_matches_reference(gens)
+
+
+def test_engine_matches_reference_when_a_settled_coprime_pair_ties_the_pair_lcm():
+    # (0, 2) is coprime, its product is the lcm of (0, 1) and it sorts
+    # after (0, 1), so it is still queued when (0, 1) comes up: the chain
+    # criterion must not fire through g_2
+    n = 2
+    x1, x2 = x_var(1, n), x_var(2, n)
+    for gens in ([x1 * x1, x1 * x2, x2], [x1 * x1, x1, one(n)]):
+        gb, _ = _assert_matches_reference(gens)
+        assert gb.stats.chain_skips == 0
 
 
 def test_stats_account_for_every_pair():
@@ -525,6 +585,20 @@ def test_pair_budget_enforced():
     gens = list(ideal_generators(flag_function(3), "ordinary").generators)
     with pytest.raises(ResourceLimitError):
         buchberger(gens, pair_budget=0)
+    # a coprime pair, settled when queued, counts against the budget too
+    x1, x2 = x_var(1, 2), x_var(2, 2)
+    with pytest.raises(ResourceLimitError, match="S-pair budget of 0"):
+        buchberger([x1 * x1, x2 * x2], pair_budget=0)
+    assert buchberger([x1 * x1, x2 * x2], pair_budget=1).stats.product_skips == 1
+
+
+def test_pair_budget_raises_iff_the_processed_pairs_exceed_it():
+    gens = list(ideal_generators(parse_hessenberg((2, 3, 4, 4)), "equivariant").generators)
+    stats = buchberger(gens).stats
+    assert stats.product_skips and stats.pairs_processed > stats.product_skips
+    assert buchberger(gens, pair_budget=stats.pairs_processed).stats == stats
+    with pytest.raises(ResourceLimitError, match="S-pair budget"):
+        buchberger(gens, pair_budget=stats.pairs_processed - 1)
 
 
 def test_budgets_are_keyword_only():
@@ -620,6 +694,88 @@ def test_equivariant_series_is_ordinary_over_one_minus_q():
             )
             assert equivariant.denominator_power == 1
             assert equivariant.series == ordinary.series
+
+
+def _ref_minimalize(gens):
+    gens = sorted(set(gens), key=lambda g: (sum(g), g))
+    out = []
+    for g in gens:
+        if not any(_div(kept, g) for kept in out):
+            out.append(g)
+    return out
+
+
+def _ref_hilbert_numerator(gens, m):
+    """The pivot recursion on exponent tuples, the reference for the
+    engine's packed _numerator; gens must be minimal."""
+    if not gens:
+        return [1]
+    if any(sum(g) == 0 for g in gens):
+        return [0]
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    if not mixed:
+        out = [1]
+        for g in gens:
+            out = _mul_one_minus_power(out, sum(g))
+        return out
+    counts = [0] * m
+    for g in mixed:
+        for v in range(m):
+            if g[v]:
+                counts[v] += 1
+    pivot = max(range(m), key=lambda v: (counts[v], -v))
+    unit = tuple(1 if v == pivot else 0 for v in range(m))
+    plus = _ref_minimalize(gens + [unit])
+    colon = _ref_minimalize(
+        [tuple(e - 1 if v == pivot and e else e for v, e in enumerate(g)) for g in gens]
+    )
+    left = _ref_hilbert_numerator(plus, m)
+    right = _ref_hilbert_numerator(colon, m)
+    return _poly_add(left, [0] + right)
+
+
+def _assert_numerator_matches_reference(monomials, m):
+    assert _numerator(monomials, m) == _ref_hilbert_numerator(_ref_minimalize(monomials), m)
+
+
+def test_packed_hilbert_numerator_matches_reference_on_every_small_basis():
+    for n in range(1, 6):
+        for h in enumerate_all(n):
+            for mode in ("ordinary", "equivariant"):
+                gb = buchberger(list(ideal_generators(h, mode).generators))
+                active = list(range(n + 1 if gb.uses_t else n))
+                lts = [tuple(e[v] for v in active) for e in gb.leading_monomials()]
+                _assert_numerator_matches_reference(lts, len(active))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """(exponent tuples, m): small mixed monomials plus pure powers."""
+    m = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in range(m))), max_size=8))
+    for v, e in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 5)), max_size=m)):
+        gens.append(tuple(e if w == v else 0 for w in range(m)))
+    return gens, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_ideals())
+@example(([], 2))
+@example(([(2, 0), (0, 3)], 2))  # pure powers only
+@example(([(1, 2, 0), (0, 0, 0), (3, 0, 1)], 3))  # a degree-0 generator
+@example(([(1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 0, 0), (0, 0, 0, 4)], 4))  # tied pivot counts
+@example(([(MAX_EXPONENT, 0), (1, 1), (0, MAX_EXPONENT)], 2))  # fields at the bound
+def test_packed_hilbert_numerator_matches_reference(ideal):
+    _assert_numerator_matches_reference(*ideal)
+
+
+def test_hilbert_series_refuses_an_exponent_past_the_packed_field():
+    n = 2
+    for exps in ((MAX_EXPONENT + 1, 0, 0), (0, 1 << FIELD_BITS, 0)):
+        gb = GroebnerBasis(n=n, basis=(Polynomial(n, {exps: 1}), x_var(1, n) * x_var(2, n)),
+                           stats=GroebnerStats())
+        with pytest.raises(ResourceLimitError, match="packed monomial field"):
+            hilbert_series(gb)
 
 
 def test_hilbert_unit_ideal():
