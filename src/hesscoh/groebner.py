@@ -62,7 +62,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
+import struct
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -178,10 +178,10 @@ def _pack(exponents: Monomial, weights: tuple[int, ...]) -> int:
 
 
 def _unpack(m: int, nvars: int) -> Monomial:
-    """The exponent tuple: the fields as native unsigned 16-bit words
-    (FIELD_BITS is 16), the heap key above them masked off."""
+    """The exponent tuple: the fields read as little-endian unsigned
+    16-bit words (FIELD_BITS is 16), the heap key above them masked off."""
     fields = m & ((1 << FIELD_BITS * nvars) - 1)
-    return tuple(memoryview(fields.to_bytes(2 * nvars, sys.byteorder)).cast("H"))
+    return struct.unpack(f"<{nvars}H", fields.to_bytes(2 * nvars, "little"))
 
 
 def _guard(nvars: int) -> int:
