@@ -3,8 +3,10 @@
 tests/verify_golden.json maps each named run below to the sha256 of what
 `hesscoh` printed for its arguments when the fixture was recorded: the
 default suite in both formats, the two permutation sweeps past their
-default scale (exactness is n <= 5 by default, here n <= 6), and the
-exactness sweep at the permutation cap, n <= 7.  A refactor
+default scale (exactness is n <= 5 by default, here n <= 6), the
+exactness sweep at the permutation cap, n <= 7, and the Groebner-backed
+checks one past their default top (peterson and hilbert to n <= 5,
+flag-borel to n <= 7 with its Groebner parts to n <= 5).  A refactor
 of the checks, the registry or the suite driver must reproduce them byte
 for byte.  To re-record after an intended output change:
 
@@ -28,6 +30,7 @@ FIXTURE = Path(__file__).with_name("verify_golden.json")
 FORMATS = ("json", "text")
 SWEEPS_N6 = "permutation-sweeps-n6-json"
 EXACTNESS_N7 = "fixed-point-exactness-n7-json"
+GROEBNER_G5 = "groebner-backed-g5-json"
 
 RUNS = {
     **{fmt: ["verify", "--format", fmt, "--no-timing"] for fmt in FORMATS},
@@ -35,6 +38,8 @@ RUNS = {
                 "--format", "json", "--no-timing"],
     EXACTNESS_N7: ["verify", "--suite", "fixed-point-exactness", "--n-max", "7",
                    "--format", "json", "--no-timing"],
+    GROEBNER_G5: ["verify", "--suite", "peterson,flag-borel,hilbert", "--groebner-n-max", "5",
+                  "--n-max", "7", "--format", "json", "--no-timing"],
 }
 
 
@@ -64,3 +69,7 @@ def test_permutation_sweeps_to_n6_match_recording():
 
 def test_exactness_sweep_to_n7_matches_recording():
     assert digest(EXACTNESS_N7) == recorded(EXACTNESS_N7)
+
+
+def test_groebner_backed_checks_to_g5_match_recording():
+    assert digest(GROEBNER_G5) == recorded(GROEBNER_G5)
