@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="S^1-fixed permutation flags in Hess(h)")
     p.add_argument("--h", required=True, type=_csv_ints, metavar="H1,H2,...")
     p.add_argument("--cap", type=int, default=DEFAULT_PERMUTATION_CAP,
-                   help="largest n for which all n! permutations are scanned")
+                   help="largest n accepted (exit 2 past it); the fixed points "
+                        "are read from the class table of S_n")
     common(p)
     p.set_defaults(func=_cmd_fixed_points)
 
@@ -291,9 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check names, or 'all' (default). "
                         f"Known: {', '.join(CHECK_NAMES)}")
     p.add_argument("--n-max", type=int, default=None,
-                   help="cap for the symbolic sweeps (default: per-check)")
+                   help="top n of closed-form, t-zero, localization, "
+                        "fixed-point-exactness and flag-borel (default: per check)")
     p.add_argument("--groebner-n-max", type=int, default=None,
-                   help="cap for the Groebner-backed sweeps (default 4)")
+                   help="top n of peterson, hilbert and flag-borel's Groebner "
+                        "parts (default: per check)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers across independent (check, h) tasks")
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)

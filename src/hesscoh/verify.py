@@ -2,26 +2,27 @@
 
 Every check returns a CheckResult whose witness pinpoints the first
 failure (indices, permutation, residue polynomial) so a red result is
-actionable.  run_suite sweeps the checks over all Hessenberg functions
-up to per-check caps: purely symbolic comparisons default to n <= 6
-(exactness, decided over all of S_n, to n <= 5) and Groebner-backed
-comparisons to n <= 4.  Of the default suite's 0.40-0.61 s of check
-time in process (2 cores, Python 3.11.7, median of 12 runs; the host's
-speed swung by half between batches), the localization sweep takes ~79 %,
-the exactness sweep ~1.5 % (0.006-0.010 s) and the seven other checks
-~19 % together.  Both permutation sweeps read the generators' integer
-terms from one table, converted once per process; exactness also reads
-each generator's zero set over S_n there, computed once per process.  The
-Groebner-backed checks compute every basis they compare on each run and
-read none from disk, so their rows test the engine itself.
-One ordered registry, _CHECKS, maps each check name to its task
-expander, its runner, its crash-row scope and its negative control; with
-the scope helpers (_n_scope, _h_scope, ...) it is the only place that
-knows a task payload's layout and a row's scope.  run_suite refuses
-unknown names, an empty suite, a bound below 1 and a sweep past a cap
-before any check runs; a check that raises becomes a FAIL row with an
-exception witness.  With jobs > 1 the tasks run in a process pool,
-imported only then; a worker that dies raises WorkerCrashError.
+actionable.  run_suite sweeps each check over every n, or every
+Hessenberg function h of each n, up to the check's own top.  Of the
+default suite's 0.40-0.61 s of check time in process (2 cores, Python
+3.11.7, median of 12 runs; the host's speed swung by half between
+batches), the localization sweep takes ~79 %, the exactness sweep ~1.5 %
+(0.006-0.010 s) and the seven other checks ~19 % together.  Both
+permutation sweeps read the generators' integer terms from one table,
+converted once per process; exactness also reads each generator's zero
+set over S_n there, computed once per process.  The Groebner-backed
+checks compute every basis they compare on each run and read none from
+disk, so their rows test the engine itself.
+One ordered registry, _CHECKS, maps each check name to its runner, its
+crash-row scope, its negative control and its sweep: what it sweeps, its
+default top, the run_suite bound that replaces that top and its first n.
+With _payloads and the scope helpers (_n_scope, _h_scope, ...) it is the
+only place that decides a check's tasks, a payload's layout and a row's
+scope.  run_suite refuses unknown names, an empty suite, a bound below 1
+and a sweep past the permutation cap before any check runs; a check
+that raises becomes a FAIL row with an exception witness.  With jobs > 1
+the tasks run in a process pool, imported only then; a worker that dies
+raises WorkerCrashError.
 
 negative_controls() re-runs each comparison on deliberately corrupted
 input and passes only when the corruption is caught with a concrete
@@ -69,10 +70,6 @@ from .hessenberg import (
 )
 from .polyring import Polynomial, elementary_symmetric, poly_to_dict, power_sum, t_var
 
-SYMBOLIC_CAP = 6
-EXACTNESS_CAP = 5
-GROEBNER_CAP = 4
-EQUIVARIANT_FLAG_CAP = 3
 NOT_A_PERMUTATION = "not a permutation of 1..n"
 
 
@@ -477,13 +474,12 @@ def _scaled_borel_generators(n: int) -> list[Polynomial]:
 
 
 @_check("flag-borel")
-def check_flag_borel(n: int, groebner_cap: int = GROEBNER_CAP,
-                     pair_budget: int = DEFAULT_PAIR_BUDGET):
+def check_flag_borel(n: int, groebner_cap: int = 4, pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Flag case h = (n,...,n): q_r identities, Borel presentation, dim n!.
 
     The termwise parts always run; the Groebner-backed parts run when n
-    is within groebner_cap, the equivariant one also within
-    EQUIVARIANT_FLAG_CAP (anything larger is out of desk scale).
+    is within groebner_cap (run_suite's groebner_n_max when set), the
+    equivariant one also within 3 (anything larger is out of desk scale).
     """
     scope = _n_scope(n)
     for r in range(1, n + 1):
@@ -517,7 +513,7 @@ def check_flag_borel(n: int, groebner_cap: int = GROEBNER_CAP,
                            "dimension": dim, "standardMonomials": std}
         parts += ["borel-equality", "dimension"]
         scope["dimension"] = dim
-    if n <= min(EQUIVARIANT_FLAG_CAP, groebner_cap):
+    if n <= min(3, groebner_cap):
         equivariant = list(ideal_generators(flag_function(n), "equivariant").generators)
         witness = ideal_equality_witness(equivariant, _scaled_borel_generators(n),
                                          pair_budget=pair_budget)
@@ -545,7 +541,11 @@ def poincare_product(h: HessenbergFunction) -> list[int]:
 @_check("hilbert")
 def check_hilbert(h: HessenbergFunction, pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Hilbert series of both presentations of Hess(h) against the product
-    formula; the fixed-point count is reported but never asserted."""
+    formula; the fixed-point count is reported but never asserted.  The
+    ordinary half holds exactly when the ordinary quotient is finite, that
+    is, when f_1, ..., f_n form a regular sequence (Stanley, Adv. Math.
+    1978).  Given t-zero, the equivariant half follows from the ordinary
+    one, so it is an independent cross-check of the Groebner engine."""
     scope = _h_scope(h.values)
     expected = poincare_product(h)
     expected_dim = sum(expected)
@@ -667,82 +667,71 @@ def negative_controls() -> list[CheckResult]:
 # -- suite driver ----------------------------------------------------------
 
 
-class _Sweep(NamedTuple):
-    """The sweep bounds and Groebner settings that tasks are expanded from."""
-
-    n_max: int | None
-    gcap: int
-    budget: int
-
-    def top(self, default: int) -> int:
-        return self.n_max if self.n_max is not None else default
-
-
-def _permutation_sweep(name: str, n_top: int) -> list[tuple]:
-    """One payload per h with n <= n_top, refused up front past the
-    permutation cap that fixed_points would hit only once the sweep reaches it."""
-    if n_top > DEFAULT_PERMUTATION_CAP:
-        raise ResourceLimitError(
-            f"the {name} sweep to n = {n_top} exceeds the cap {DEFAULT_PERMUTATION_CAP}"
-        )
-    return [(h.values,) for n in range(1, n_top + 1) for h in enumerate_all(n)]
-
-
 class _Check(NamedTuple):
-    expand: Callable[[_Sweep], list[tuple]]  # the payloads of its tasks
-    run: Callable[..., list[CheckResult]]  # (sweep, *payload) -> its results
+    run: Callable[..., list[CheckResult]]  # (options, *payload) -> its results
     scope: Callable[..., dict]  # one task's payload -> the scope of its crash row
     control: Callable[[], dict | None] | None  # a mutation it must catch
+    sweeps: str | None = None  # "n", "h" (every h of each n) or None: one task
+    top: int = 0  # the last n swept by default
+    bound: str = ""  # the run_suite bound that replaces top when set
+    start: int = 1  # the first n swept
 
 
-def _n_sweep(sweep: _Sweep) -> list[tuple]:
-    return [(n,) for n in range(1, sweep.top(SYMBOLIC_CAP) + 1)]
+def _payloads(name: str, check: _Check, bounds: dict) -> list[tuple]:
+    """The payloads of check's tasks: () for one task, else (n,), or
+    (h.values,) for each h of that n, for n from check.start to its top.
+    An h sweep past the permutation cap, which fixed_points would hit only
+    once the sweep reaches it, is refused up front."""
+    if check.sweeps is None:
+        return [()]
+    top = bounds[check.bound] or check.top  # a set bound is at least 1
+    if check.sweeps == "n":
+        return [(n,) for n in range(check.start, top + 1)]
+    if top > DEFAULT_PERMUTATION_CAP:
+        raise ResourceLimitError(f"the {name} sweep to n = {top} exceeds the cap "
+                                 f"{DEFAULT_PERMUTATION_CAP}")
+    return [(h.values,) for n in range(check.start, top + 1) for h in enumerate_all(n)]
 
 
 # Runners name the check_* functions inside a lambda, so they are looked
 # up at call time: rebinding the module attribute (a tracer, a test) reaches
-# every task.
+# every task.  Their options o hold the pair budget and, when groebner_n_max
+# is set, the groebner_cap that bounds check_flag_borel's Groebner parts.
 _CHECKS = {
-    "example-n4": _Check(lambda s: [()], lambda s: [check_example_n4()],
-                         _example_n4_scope, _control_example_n4),
-    "closed-form": _Check(_n_sweep, lambda s, n: [check_closed_form_at(n)], _n_scope,
-                          _control_closed_form),
-    "t-zero": _Check(_n_sweep, lambda s, n: [check_t_zero_at(n)], _n_scope, _control_t_zero),
+    "example-n4": _Check(lambda o: [check_example_n4()], _example_n4_scope, _control_example_n4),
+    "closed-form": _Check(lambda o, n: [check_closed_form_at(n)], _n_scope, _control_closed_form,
+                          sweeps="n", top=6, bound="n_max"),
+    "t-zero": _Check(lambda o, n: [check_t_zero_at(n)], _n_scope, _control_t_zero,
+                     sweeps="n", top=6, bound="n_max"),
     "localization": _Check(
-        lambda s: _permutation_sweep("localization", s.top(SYMBOLIC_CAP)),
-        lambda s, values: [check_localization_vanishing(HessenbergFunction(values))],
-        _h_scope, _control_localization),
+        lambda o, values: [check_localization_vanishing(HessenbergFunction(values))],
+        _h_scope, _control_localization, sweeps="h", top=6, bound="n_max"),
     "fixed-point-exactness": _Check(
-        lambda s: _permutation_sweep("fixed-point-exactness", s.top(EXACTNESS_CAP)),
-        lambda s, values: [check_fixed_point_exactness(HessenbergFunction(values))],
-        _h_scope, _control_exactness),
+        lambda o, values: [check_fixed_point_exactness(HessenbergFunction(values))],
+        _h_scope, _control_exactness, sweeps="h", top=5, bound="n_max"),
     "peterson": _Check(
-        lambda s: [(n,) for n in range(2, s.gcap + 1)],
-        lambda s, n: [check_peterson(n, pair_budget=s.budget)],
-        _peterson_scope, _control_peterson),
-    "flag-borel": _Check(
-        _n_sweep,
-        lambda s, n: [check_flag_borel(n, groebner_cap=s.gcap, pair_budget=s.budget)],
-        _n_scope, _control_flag_borel),
+        lambda o, n: [check_peterson(n, pair_budget=o["pair_budget"])],
+        _peterson_scope, _control_peterson, sweeps="n", top=4, bound="groebner_n_max", start=2),
+    "flag-borel": _Check(lambda o, n: [check_flag_borel(n, **o)], _n_scope, _control_flag_borel,
+                         sweeps="n", top=6, bound="n_max"),
     # each row reports a fixed-point count, so the sweep stops at the permutation cap
     "hilbert": _Check(
-        lambda s: _permutation_sweep("hilbert", s.gcap),
-        lambda s, values: [check_hilbert(HessenbergFunction(values), pair_budget=s.budget)],
-        _h_scope, _control_hilbert),
-    "negative-controls": _Check(lambda s: [()], lambda s: negative_controls(), dict, None),
+        lambda o, values: [check_hilbert(HessenbergFunction(values), pair_budget=o["pair_budget"])],
+        _h_scope, _control_hilbert, sweeps="h", top=4, bound="groebner_n_max"),
+    "negative-controls": _Check(lambda o: negative_controls(), dict, None),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def _execute_task(sweep: _Sweep, task: tuple) -> list[CheckResult]:
-    """Run one (name, payload) task under sweep's settings.  A crash becomes
+def _execute_task(options: dict, task: tuple) -> list[CheckResult]:
+    """Run one (name, payload) task with the runners' options.  A crash becomes
     one FAIL row whose witness names the exception; a resource cap (exit 2)
     and an OSError (exit 74) propagate, so the run ends with no report."""
     name, payload = task
     check = _CHECKS[name]
     try:
-        return check.run(sweep, *payload)
+        return check.run(options, *payload)
     except (ResourceLimitError, OSError):
         raise
     except Exception as exc:
@@ -772,14 +761,16 @@ def run_suite(
         raise ValueError(f"unknown check(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
     if not selected:
         raise ValueError("empty suite: name at least one check")
-    for option, value in (("n_max", n_max), ("groebner_n_max", groebner_n_max), ("jobs", jobs)):
+    bounds = {"n_max": n_max, "groebner_n_max": groebner_n_max}
+    for option, value in {**bounds, "jobs": jobs}.items():
         if value is not None and value < 1:
             raise ValueError(f"{option} must be at least 1, got {value}")
-    sweep = _Sweep(n_max, groebner_n_max if groebner_n_max is not None else GROEBNER_CAP,
-                   pair_budget)
+    options = {"pair_budget": pair_budget}
+    if groebner_n_max is not None:
+        options["groebner_cap"] = groebner_n_max
     tasks = []
     for name in selected:
-        payloads = _CHECKS[name].expand(sweep)
+        payloads = _payloads(name, _CHECKS[name], bounds)
         if not payloads:
             raise ValueError(f"empty sweep: {name} has no task within these bounds")
         tasks += [(name, payload) for payload in payloads]
@@ -791,11 +782,11 @@ def run_suite(
 
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for batch in pool.map(partial(_execute_task, sweep), tasks):
+                for batch in pool.map(partial(_execute_task, options), tasks):
                     results.extend(batch)
         except BrokenProcessPool as exc:
             raise WorkerCrashError(str(exc)) from exc
     else:
         for task in tasks:
-            results.extend(_execute_task(sweep, task))
+            results.extend(_execute_task(options, task))
     return VerificationReport(results=results, elapsed=time.perf_counter() - start)

@@ -326,7 +326,7 @@ def test_flag_borel_check_computes_each_basis_once(monkeypatch):
 
     monkeypatch.setattr(groebner_module, "buchberger", counting)
     monkeypatch.setattr(verify_module, "buchberger", counting)
-    result = check_flag_borel(4)  # past EQUIVARIANT_FLAG_CAP: the flag and Borel ideals only
+    result = check_flag_borel(4)  # past the equivariant part's top: flag and Borel ideals only
     assert result.passed
     assert result.scope["dimension"] == 24
     assert len(calls) == 2
