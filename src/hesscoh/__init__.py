@@ -27,8 +27,6 @@ from .groebner import (
     HilbertData,
     buchberger,
     hilbert_series,
-    ideal_equality,
-    ideal_membership,
     normal_form,
     standard_monomials,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "flag_function",
     "generator_matrix",
     "hilbert_series",
-    "ideal_equality",
     "ideal_generators",
-    "ideal_membership",
     "normal_form",
     "oracle_fixed_point_check",
     "p_sum",

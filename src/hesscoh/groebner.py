@@ -67,7 +67,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import le, mul, sub
+from operator import le, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -124,26 +124,11 @@ class GroebnerBasis:
         return any(exps[self.n] for g in self.basis for exps in g.terms)
 
     def leading_monomials(self) -> list[Monomial]:
-        return [leading_term(g)[0] for g in self.basis]
-
-
-def leading_term(p: Polynomial) -> tuple[Monomial, Fraction]:
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no leading term")
-    exps = max(p.terms, key=canonical_key)
-    return exps, p.terms[exps]
+        return [max(g.terms, key=canonical_key) for g in self.basis]
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def _quotient(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
 
 
 def _common_n(polys: Sequence[Polynomial]) -> int:
@@ -331,20 +316,6 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _normal_form(f, _reducer_table(reducers))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, cf = leading_term(f)
-    lg, cg = leading_term(g)
-    lcm = _lcm(lf, lg)
-    return _shift(f, _quotient(lcm, lf), 1 / cf) - _shift(g, _quotient(lcm, lg), 1 / cg)
-
-
-def _shift(p: Polynomial, exps: Monomial, scale: Fraction) -> Polynomial:
-    return Polynomial._raw(
-        p.n,
-        {tuple(a + b for a, b in zip(e, exps)): c * scale for e, c in p.terms.items()},
-    )
-
-
 def buchberger(
     generators: Iterable[Polynomial],
     *,
@@ -359,12 +330,15 @@ def buchberger(
     handled.  The product criterion settles a coprime pair when it is
     queued: it is counted as processed and skipped right away and never
     enters the heap.  More than pair_budget processed pairs raises
-    ResourceLimitError.  Every S-pair reduction shares one first-divisor
-    memo (see _reduce), valid because the table is only appended to.
+    ResourceLimitError, and a negative pair_budget ValueError up front.
+    Every S-pair reduction shares one first-divisor memo (see _reduce),
+    valid because the table is only appended to.
 
     With cache_dir set, the result is stored under a content hash of
     the generators and reloaded on repeat calls.
     """
+    if pair_budget < 0:
+        raise ValueError(f"pair_budget must be at least 0, got {pair_budget}")
     gens = list(generators)
     if not gens:
         raise ValueError("buchberger needs at least one generator")
@@ -497,14 +471,6 @@ def _reduce_basis(n: int, table: list[tuple], guard: int,
     ]
 
 
-def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:
-    if f.is_zero():
-        return True
-    if not gb.basis:
-        return False
-    return normal_form(f, gb.basis).is_zero()
-
-
 def ideal_equality_witness(
     gens_a: Sequence[Polynomial],
     gens_b: Sequence[Polynomial],
@@ -539,16 +505,6 @@ def basis_equality_witness(
             if not r.is_zero():
                 return {"direction": label, "generator": idx, "normalForm": poly_to_dict(r)}
     return None
-
-
-def ideal_equality(
-    gens_a: Sequence[Polynomial],
-    gens_b: Sequence[Polynomial],
-    *,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> bool:
-    """Whether the two generating sets span the same ideal."""
-    return ideal_equality_witness(gens_a, gens_b, pair_budget=pair_budget) is None
 
 
 # -- quotient invariants ---------------------------------------------------
@@ -614,19 +570,6 @@ class HilbertData:
     series: tuple[int, ...]
     denominator_power: int
     quotient_dimension: int | None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.denominator_power == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "series": list(self.series),
-            "denominatorPower": self.denominator_power,
-            "quotientDimension": (
-                "infinite" if self.quotient_dimension is None else self.quotient_dimension
-            ),
-        }
 
 
 def hilbert_series(gb: GroebnerBasis) -> HilbertData:

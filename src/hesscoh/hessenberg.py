@@ -39,7 +39,7 @@ class HessenbergFunction:
             raise InvalidHessenbergError("empty", "a Hessenberg function needs n >= 1 values")
         n = len(values)
         for i, v in enumerate(values, start=1):
-            if not isinstance(v, int):
+            if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidHessenbergError("out-of-range", f"h({i}) = {v!r} is not an integer")
             if v < i:
                 raise InvalidHessenbergError(
@@ -69,10 +69,6 @@ class HessenbergFunction:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.values)) + ")"
-
-    def complex_dimension(self) -> int:
-        """dim_C Hess(h) = sum_j (h(j) - j)."""
-        return sum(v - (j + 1) for j, v in enumerate(self.values))
 
 
 def parse_hessenberg(values) -> HessenbergFunction:

@@ -18,11 +18,11 @@ crash-row scope, its negative control and its sweep: what it sweeps, its
 default top, the run_suite bound that replaces that top and its first n.
 With _payloads and the scope helpers (_n_scope, _h_scope, ...) it is the
 only place that decides a check's tasks, a payload's layout and a row's
-scope.  run_suite refuses unknown names, an empty suite, a bound below 1
-and a sweep past the permutation cap before any check runs; a check
-that raises becomes a FAIL row with an exception witness.  With jobs > 1
-the tasks run in a process pool, imported only then; a worker that dies
-raises WorkerCrashError.
+scope.  run_suite refuses unknown or repeated names, an empty suite, a
+bound below 1, a negative pair budget and a sweep past the permutation
+cap before any check runs; a check that raises becomes a FAIL row with
+an exception witness.  With jobs > 1 the tasks run in a process pool,
+imported only then; a worker that dies raises WorkerCrashError.
 
 negative_controls() re-runs each comparison on deliberately corrupted
 input and passes only when the corruption is caught with a concrete
@@ -748,10 +748,10 @@ def run_suite(
 ) -> VerificationReport:
     """Run the named checks (or all of them) and collect a report.
 
-    Unknown names, an empty list, an n_max, groebner_n_max or jobs below
-    1 and a selected check whose sweep has no task (peterson starts at
-    n = 2) are refused with ValueError, and a sweep past a cap with
-    ResourceLimitError, before any check runs.
+    Unknown or repeated names, an empty list, an n_max, groebner_n_max or
+    jobs below 1, a negative pair_budget and a selected check whose sweep
+    has no task (peterson starts at n = 2) are refused with ValueError,
+    and a sweep past a cap with ResourceLimitError, before any check runs.
     Results come back in a deterministic order regardless of jobs; only
     the elapsed fields vary between runs.
     """
@@ -759,12 +759,17 @@ def run_suite(
     unknown = [name for name in selected if name not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown check(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
+    repeated = [name for name in dict.fromkeys(selected) if selected.count(name) > 1]
+    if repeated:
+        raise ValueError(f"repeated check(s): {', '.join(repeated)}")
     if not selected:
         raise ValueError("empty suite: name at least one check")
     bounds = {"n_max": n_max, "groebner_n_max": groebner_n_max}
     for option, value in {**bounds, "jobs": jobs}.items():
         if value is not None and value < 1:
             raise ValueError(f"{option} must be at least 1, got {value}")
+    if pair_budget < 0:
+        raise ValueError(f"pair_budget must be at least 0, got {pair_budget}")
     options = {"pair_budget": pair_budget}
     if groebner_n_max is not None:
         options["groebner_cap"] = groebner_n_max

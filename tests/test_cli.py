@@ -293,6 +293,30 @@ def test_verify_refuses_a_sweep_with_no_task(monkeypatch, suite):
     assert err == "error: empty sweep: peterson has no task within these bounds\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--h", "1,2,3", "--pair-budget", "-1"],  # an ideal that needs no pair
+    ["verify", "--suite", "example-n4", "--pair-budget", "-3"],  # a check with no Groebner work
+])
+def test_negative_pair_budget_is_refused_up_front(monkeypatch, argv):
+    def crash(*args, **kwargs):
+        raise RuntimeError("a task ran")
+
+    monkeypatch.setattr(verify_module, "check_example_n4", crash)
+    code, out, err = run_main(argv)
+    assert code == 64 and out == ""
+    assert err == f"error: pair_budget must be at least 0, got {argv[-1]}\n"
+
+
+def test_verify_refuses_a_repeated_check(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("a task ran")
+
+    monkeypatch.setattr(verify_module, "check_example_n4", crash)
+    code, out, err = run_main(["verify", "--suite", "example-n4,t-zero,example-n4"])
+    assert code == 64 and out == ""
+    assert err == "error: repeated check(s): example-n4\n"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_refuses_oversized_hilbert_sweep_up_front(monkeypatch, jobs):
     # hilbert rows report a fixed-point count, so n = 8 is refused before

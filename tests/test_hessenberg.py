@@ -50,6 +50,7 @@ def test_parse_accepts_valid_functions():
         ((3, 2, 3), "not-weakly-increasing"),
         ((1, 2, 4), "out-of-range"),
         ((2, 1, 3), "not-above-diagonal"),  # diagonal check wins over monotonicity
+        ((True,), "out-of-range"),  # a bool is not a Hessenberg value
     ],
 )
 def test_parse_rejects_with_code(values, code):
@@ -64,13 +65,6 @@ def test_call_and_str():
     assert str(h) == "(2,3,3)"
     with pytest.raises(ValueError):
         h(0)
-
-
-def test_complex_dimension():
-    assert parse_hessenberg((2, 3, 3)).complex_dimension() == 2
-    assert parse_hessenberg((1, 2, 3)).complex_dimension() == 0
-    for n in range(1, 7):
-        assert flag_function(n).complex_dimension() == n * (n - 1) // 2
 
 
 def test_special_functions():
