@@ -19,6 +19,7 @@ from hesscoh.hessenberg import (
     permutation_ranks,
     peterson_function,
 )
+from hesscoh.verify import poincare_product
 
 
 def brute_enumerate(n):
@@ -66,6 +67,17 @@ def test_call_and_str():
     with pytest.raises(ValueError):
         h(0)
 
+
+
+def test_complex_dimension():
+    # dim_C Hess(h) = sum_j (h(j) - j) is the top degree of its Poincare polynomial
+    def dim(h):
+        return len(poincare_product(h)) - 1
+
+    assert dim(parse_hessenberg((2, 3, 3))) == 2
+    assert dim(parse_hessenberg((1, 2, 3))) == 0
+    for n in range(1, 7):
+        assert dim(flag_function(n)) == n * (n - 1) // 2
 
 def test_special_functions():
     assert peterson_function(4).values == (2, 3, 4, 4)

@@ -11,13 +11,7 @@ import pytest
 
 import hesscoh.verify as verify_module
 from hesscoh.generators import f_inductive, ideal_generators
-from hesscoh.hessenberg import (
-    enumerate_all,
-    fixed_points,
-    flag_function,
-    parse_hessenberg,
-    permutation_ranks,
-)
+from hesscoh.hessenberg import enumerate_all, fixed_points, parse_hessenberg, permutation_ranks
 from hesscoh.polyring import Polynomial, poly_to_dict, t_var, x_var
 from hesscoh.verify import (
     CHECK_NAMES,
@@ -350,9 +344,6 @@ def test_poincare_product():
     assert poincare_product(parse_hessenberg((3, 3, 3))) == [1, 2, 2, 1]
     assert poincare_product(parse_hessenberg((1, 2, 3))) == [1]
     assert poincare_product(parse_hessenberg((1,))) == [1]
-    # the top degree is dim_C Hess(h) = sum_j (h(j) - j): n(n-1)/2 for the flag variety
-    for n in range(1, 7):
-        assert len(poincare_product(flag_function(n))) - 1 == n * (n - 1) // 2
 
 
 def test_hilbert_check():
