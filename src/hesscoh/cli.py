@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidHessenbergError, ResourceLimitError, WorkerCrashError
-from .generators import generator_matrix, ideal_generators
+from .generators import MODES, generator_matrix, ideal_generators
 from .groebner import DEFAULT_PAIR_BUDGET, buchberger, hilbert_series
 from .hessenberg import (
     DEFAULT_ENUMERATION_CAP,
@@ -33,7 +33,7 @@ from .hessenberg import (
 )
 from .latexout import latex_document, latex_lines
 from .polyring import poly_to_dict
-from .verify import CHECK_NAMES, poincare_product, run_suite
+from .verify import CHECK_NAMES, SCHEMA_VERSION, poincare_product, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,8 +41,6 @@ EXIT_RESOURCE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70  # sysexits EX_SOFTWARE
 EXIT_IO = 74  # sysexits EX_IOERR
-
-SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
         if mode:
-            p.add_argument("--mode", choices=("equivariant", "ordinary"),
-                           default="equivariant")
+            p.add_argument("--mode", choices=MODES, default="equivariant")
 
     p = sub.add_parser("present", help="generators of the presentation for one h")
     p.add_argument("--h", required=True, type=_csv_ints, metavar="H1,H2,...")

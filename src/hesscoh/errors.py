@@ -7,6 +7,18 @@ callers can distinguish our diagnostics from genuine bugs.
 from __future__ import annotations
 
 
+def check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """value when it is an int (not a bool) with low <= value <= high (no
+    upper end when high is None); else ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{what} must be at most {high}, got {value}")
+    return value
+
+
 class HesscohError(Exception):
     """Base class for all errors raised by hesscoh."""
 

@@ -28,22 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import check_int
 from .hessenberg import HessenbergFunction
 from .polyring import Polynomial, t_var, x_var, zero
 
 MODES = ("equivariant", "ordinary")
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"ambient n must be a positive integer, got {n!r}")
-
-
 def p_sum(i: int, n: int) -> Polynomial:
     """p_i = (x_1 - t) + (x_2 - 2t) + ... + (x_i - i*t); p_0 = 0."""
-    _check_n(n)
-    if not isinstance(i, int) or i < 0 or i > n:
-        raise ValueError(f"p_i needs 0 <= i <= {n}, got i = {i!r}")
+    check_int(n, "n", 1)
+    check_int(i, "i", 0, n)
     terms = {}
     for k in range(1, i + 1):
         exps = [0] * (n + 1)
@@ -86,9 +81,7 @@ def _delta(i: int, j: int, n: int) -> Polynomial:
 
 def delta(i: int, j: int, n: int) -> Polynomial:
     """Ladder entry Delta_{i,j}.  Needs 1 <= j <= i <= n."""
-    _check_indices(i, j, n)
-    if j == 0:
-        raise ValueError("Delta has no column 0")
+    _check_indices(i, j, n, low=1)
     return _delta(i, j, n)
 
 
@@ -122,9 +115,8 @@ def _f_ordinary(i: int, j: int, n: int) -> Polynomial:
 
 def q_flag(r: int, n: int) -> Polynomial:
     """Flag-case generator q_r = sum_{k<=n+1-r} x_k prod_{l=n+2-r..n} (x_k - x_l)."""
-    _check_n(n)
-    if not isinstance(r, int) or not 1 <= r <= n:
-        raise ValueError(f"q_r needs 1 <= r <= {n}, got r = {r!r}")
+    check_int(n, "n", 1)
+    check_int(r, "r", 1, n)
     acc = zero(n)
     for k in range(1, n + 2 - r):
         term = x_var(k, n)
@@ -134,12 +126,10 @@ def q_flag(r: int, n: int) -> Polynomial:
     return acc
 
 
-def _check_indices(i: int, j: int, n: int) -> None:
-    _check_n(n)
-    if not (isinstance(i, int) and isinstance(j, int)):
-        raise ValueError(f"indices must be integers, got ({i!r}, {j!r})")
-    if not (0 <= j <= i <= n):
-        raise ValueError(f"need 0 <= j <= i <= n, got (i, j, n) = ({i}, {j}, {n})")
+def _check_indices(i: int, j: int, n: int, low: int = 0) -> None:
+    check_int(n, "n", 1)
+    check_int(i, "i", low, n)
+    check_int(j, "j", low, i)
 
 
 @dataclass(frozen=True)
@@ -192,7 +182,7 @@ class GeneratorMatrix:
 
 
 def generator_matrix(n: int, mode: str = "equivariant") -> GeneratorMatrix:
-    _check_n(n)
+    check_int(n, "n", 1)
     build = _builder(mode)
     entries = tuple(
         (i, j, build(i, j, n)) for i in range(1, n + 1) for j in range(1, i + 1)
@@ -206,7 +196,6 @@ def peterson_rewrite_factor(j: int, n: int) -> Polynomial:
     The equality is a theorem about the p_i, not a definition; it is
     re-verified by checkPeterson.
     """
-    _check_n(n)
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"need 1 <= j <= n-1 = {n - 1}, got j = {j!r}")
+    check_int(n, "n", 1)
+    check_int(j, "j", 1, n - 1)
     return -p_sum(j - 1, n) + 2 * p_sum(j, n) - p_sum(j + 1, n) - 2 * t_var(n)

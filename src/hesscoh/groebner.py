@@ -71,7 +71,7 @@ from operator import le, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NotZeroDimensionalError, ResourceLimitError
+from .errors import DimensionMismatchError, NotZeroDimensionalError, ResourceLimitError, check_int
 from .polyring import Monomial, Polynomial, canonical_key, poly_from_dict, poly_to_dict
 
 DEFAULT_PAIR_BUDGET = 200_000
@@ -337,8 +337,7 @@ def buchberger(
     With cache_dir set, the result is stored under a content hash of
     the generators and reloaded on repeat calls.
     """
-    if pair_budget < 0:
-        raise ValueError(f"pair_budget must be at least 0, got {pair_budget}")
+    check_int(pair_budget, "pair_budget", 0)
     gens = list(generators)
     if not gens:
         raise ValueError("buchberger needs at least one generator")
@@ -569,7 +568,11 @@ class HilbertData:
 
     series: tuple[int, ...]
     denominator_power: int
-    quotient_dimension: int | None
+
+    @property
+    def quotient_dimension(self) -> int | None:
+        """sum(series) for a finite quotient, else None."""
+        return None if self.denominator_power else sum(self.series)
 
 
 def hilbert_series(gb: GroebnerBasis) -> HilbertData:
@@ -582,7 +585,7 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertData:
             raise ValueError("Hilbert series needs homogeneous generators")
     lts = gb.leading_monomials()
     if any(sum(m) == 0 for m in lts):
-        return HilbertData(series=(), denominator_power=0, quotient_dimension=0)
+        return HilbertData(series=(), denominator_power=0)
     active = _active_vars(gb)
     m = len(active)
     numerator = _numerator([tuple(e[v] for v in active) for e in lts], m)
@@ -595,11 +598,9 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertData:
         cancels += 1
     remaining = m - cancels
     coeffs = _trim(numerator)
-    if remaining == 0:
-        if any(c < 0 for c in coeffs):
-            raise AssertionError(f"negative Hilbert coefficients {coeffs}; engine bug")
-        return HilbertData(series=tuple(coeffs), denominator_power=0, quotient_dimension=sum(coeffs))
-    return HilbertData(series=tuple(coeffs), denominator_power=remaining, quotient_dimension=None)
+    if remaining == 0 and any(c < 0 for c in coeffs):
+        raise AssertionError(f"negative Hilbert coefficients {coeffs}; engine bug")
+    return HilbertData(series=tuple(coeffs), denominator_power=remaining)
 
 
 def _numerator(monomials: list[Monomial], m: int) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import InvalidHessenbergError, ResourceLimitError
+from .errors import InvalidHessenbergError, ResourceLimitError, check_int
 
 Permutation = tuple[int, ...]  # 1-based one-line notation
 
@@ -60,12 +60,7 @@ class HessenbergFunction:
 
     def __call__(self, i: int) -> int:
         """h(i) with 1-based i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"argument {i} not in 1..{self.n}")
-        return self.values[i - 1]
-
-    def __iter__(self):
-        return iter(self.values)
+        return self.values[check_int(i, "i", 1, len(self.values)) - 1]
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.values)) + ")"
@@ -77,18 +72,14 @@ def parse_hessenberg(values) -> HessenbergFunction:
 
 
 def peterson_function(n: int) -> HessenbergFunction:
-    """h = (2, 3, ..., n, n), the Peterson variety case."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return HessenbergFunction((1,))
+    """h = (2, 3, ..., n, n), the Peterson variety case; (1) for n = 1."""
+    check_int(n, "n", 1)
     return HessenbergFunction(tuple(range(2, n + 1)) + (n,))
 
 
 def flag_function(n: int) -> HessenbergFunction:
     """h = (n, ..., n), the full flag variety case."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int(n, "n", 1)
     return HessenbergFunction((n,) * n)
 
 
@@ -97,8 +88,8 @@ def enumerate_all(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Hessenberg
 
     There are Catalan(n) of them.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_int(n, "n", 1)
+    check_int(cap, "cap", 1)
     if n > cap:
         raise ResourceLimitError(
             f"enumerating Hessenberg functions for n = {n} exceeds the cap {cap}"
@@ -126,6 +117,7 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
     of the classes C_g with g <= h, sorted, read from the table of S_n
     (_symmetric_group, 1.1 MB held for all n <= 7).
     """
+    check_int(cap, "cap", 1)
     n = h.n
     if n > cap:
         raise ResourceLimitError(

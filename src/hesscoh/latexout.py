@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import check_int
 from .polyring import Polynomial, monomial_latex
 
 
@@ -36,8 +37,8 @@ def _factored(i: int, j: int) -> tuple[str, bool]:
 
 def factored_latex(i: int, j: int) -> str:
     """p-factored LaTeX for f_{i,j} (structure only; no ambient n needed)."""
-    if not (isinstance(i, int) and isinstance(j, int) and 1 <= j <= i):
-        raise ValueError(f"need 1 <= j <= i, got ({i!r}, {j!r})")
+    check_int(j, "j", 1)
+    check_int(i, "i", j)
     return _factored(i, j)[0]
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_int
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -59,8 +59,7 @@ class Polynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"ambient n must be a positive integer, got {n!r}")
+        check_int(n, "n", 1)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Fraction] = {}
         width = n + 1
@@ -192,8 +191,7 @@ class Polynomial:
         return self * (1 / c)
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        check_int(exponent, "exponent", 0)
         result = {(0,) * (self.n + 1): _ONE}
         base = self._terms
         e = exponent
@@ -216,9 +214,7 @@ class Polynomial:
         assigns: dict[int, Polynomial] = {}
         if x:
             for k, value in x.items():
-                if not (isinstance(k, int) and 1 <= k <= n):
-                    raise ValueError(f"x-variable index {k!r} not in 1..{n}")
-                assigns[k - 1] = _as_polynomial(value, n)
+                assigns[check_int(k, "x index", 1, n) - 1] = _as_polynomial(value, n)
         if t is not None:
             assigns[n] = _as_polynomial(t, n)
         if not assigns:
@@ -359,11 +355,11 @@ def constant(c: Scalar, n: int) -> Polynomial:
 
 def x_var(k: int, n: int) -> Polynomial:
     """The variable x_k, 1 <= k <= n."""
-    if not (isinstance(k, int) and 1 <= k <= n):
-        raise ValueError(f"x-variable index {k!r} not in 1..{n}")
+    check_int(n, "n", 1)
+    check_int(k, "x index", 1, n)
     exps = [0] * (n + 1)
     exps[k - 1] = 1
-    return Polynomial(n, {tuple(exps): 1})
+    return Polynomial._raw(n, {tuple(exps): _ONE})
 
 
 def t_var(n: int) -> Polynomial:
@@ -374,14 +370,11 @@ def t_var(n: int) -> Polynomial:
 
 def elementary_symmetric(i: int, indices: Iterable[int], n: int) -> Polynomial:
     """e_i in the x-variables selected by `indices` (1-based, distinct)."""
-    idx = tuple(indices)
+    check_int(n, "n", 1)
+    idx = tuple(check_int(k, "x index", 1, n) for k in indices)
     if len(set(idx)) != len(idx):
         raise ValueError(f"variable indices must be distinct, got {idx}")
-    for k in idx:
-        if not (isinstance(k, int) and 1 <= k <= n):
-            raise ValueError(f"x-variable index {k!r} not in 1..{n}")
-    if not isinstance(i, int) or i < 0 or i > len(idx):
-        raise ValueError(f"e_{i} undefined over {len(idx)} variables")
+    check_int(i, "i", 0, len(idx))
     if i == 0:
         return one(n)
     terms: dict[Monomial, Fraction] = {}
@@ -395,8 +388,8 @@ def elementary_symmetric(i: int, indices: Iterable[int], n: int) -> Polynomial:
 
 def power_sum(r: int, n: int) -> Polynomial:
     """The power sum x_1^r + ... + x_n^r, r >= 1."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"power sum needs r >= 1, got {r!r}")
+    check_int(r, "r", 1)
+    check_int(n, "n", 1)
     terms: dict[Monomial, Fraction] = {}
     for k in range(n):
         exps = [0] * (n + 1)

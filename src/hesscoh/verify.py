@@ -40,7 +40,7 @@ from itertools import combinations, islice
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import ResourceLimitError, WorkerCrashError
+from .errors import ResourceLimitError, WorkerCrashError, check_int
 from .generators import (
     f_closed,
     f_inductive,
@@ -71,23 +71,21 @@ from .hessenberg import (
 from .polyring import Polynomial, elementary_symmetric, poly_to_dict, power_sum, t_var
 
 NOT_A_PERMUTATION = "not a permutation of 1..n"
+SCHEMA_VERSION = 1  # of every JSON document the CLI writes
 
 
 @dataclass
 class CheckResult:
-    """One report row; passed defaults to witness is None."""
+    """One report row; it passed when it carries no witness."""
 
     name: str
     scope: dict
-    passed: bool | None = None
     witness: dict | None = None
     elapsed: float = 0.0
 
-    def __post_init__(self):
-        if self.passed is None:
-            self.passed = self.witness is None
-        if not self.passed and self.witness is None:
-            raise ValueError(f"failed check {self.name} must carry a witness")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {"name": self.name, "scope": self.scope, "passed": self.passed,
@@ -113,7 +111,7 @@ class VerificationReport:
     def to_dict(self, include_timing: bool = True) -> dict:
         good, bad = self.counts()
         out = {
-            "schemaVersion": 1,
+            "schemaVersion": SCHEMA_VERSION,
             "results": [r.to_dict(include_timing) for r in self.results],
             "summary": {"total": len(self.results), "passed": good, "failed": bad},
         }
@@ -229,6 +227,7 @@ def check_example_n4():
 @_check("closed-form")
 def check_closed_form_at(n: int):
     """f_inductive == f_closed for every 1 <= j <= i <= n."""
+    check_int(n, "n", 1)
     return _n_scope(n), _first_difference(_triangle(n), lambda i, j: f_inductive(i, j, n),
                                           lambda i, j: f_closed(i, j, n))
 
@@ -236,6 +235,7 @@ def check_closed_form_at(n: int):
 @_check("t-zero")
 def check_t_zero_at(n: int):
     """substitute(f_inductive, t -> 0) == f_ordinary for every (i, j)."""
+    check_int(n, "n", 1)
     return _n_scope(n), _first_difference(
         _triangle(n), lambda i, j: f_inductive(i, j, n).substitute(t=0),
         lambda i, j: f_ordinary(i, j, n))
@@ -442,8 +442,7 @@ def check_peterson(n: int, pair_budget: int = DEFAULT_PAIR_BUDGET):
     induced step f_{j+1,j} = f_{j,j-1} + (that factor) p_j; then ideal
     equality of I(h) with ((-p_{j-1}+2p_j-p_{j+1}-2t) p_j, ..., p_n).
     """
-    if n < 2:
-        raise ValueError("the Peterson case needs n >= 2")
+    check_int(n, "n", 2)
     scope = _peterson_scope(n)
     for j in range(1, n):
         factor = peterson_rewrite_factor(j, n)
@@ -481,6 +480,7 @@ def check_flag_borel(n: int, groebner_cap: int = 4, pair_budget: int = DEFAULT_P
     is within groebner_cap (run_suite's groebner_n_max when set), the
     equivariant one also within 3 (anything larger is out of desk scale).
     """
+    check_int(n, "n", 1)
     scope = _n_scope(n)
     for r in range(1, n + 1):
         q = q_flag(r, n)
@@ -765,11 +765,11 @@ def run_suite(
     if not selected:
         raise ValueError("empty suite: name at least one check")
     bounds = {"n_max": n_max, "groebner_n_max": groebner_n_max}
-    for option, value in {**bounds, "jobs": jobs}.items():
-        if value is not None and value < 1:
-            raise ValueError(f"{option} must be at least 1, got {value}")
-    if pair_budget < 0:
-        raise ValueError(f"pair_budget must be at least 0, got {pair_budget}")
+    for option, value in bounds.items():
+        if value is not None:
+            check_int(value, option, 1)
+    check_int(jobs, "jobs", 1)
+    check_int(pair_budget, "pair_budget", 0)
     options = {"pair_budget": pair_budget}
     if groebner_n_max is not None:
         options["groebner_cap"] = groebner_n_max

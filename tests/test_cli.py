@@ -158,6 +158,18 @@ def test_enumerate_cap_exit():
     assert code == 2 and err.startswith("resource cap:")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["generators", "--n", "0"], "error: n must be at least 1, got 0"),
+    (["enumerate", "--n", "0"], "error: n must be at least 1, got 0"),
+    # a cap below 1 refuses every input, so it is a usage error, not a cap hit
+    (["fixed-points", "--h", "2,3,3", "--cap", "0"], "error: cap must be at least 1, got 0"),
+    (["enumerate", "--n", "3", "--cap", "0"], "error: cap must be at least 1, got 0"),
+])
+def test_integer_below_its_range_is_a_usage_error(argv, line):
+    code, out, err = run_main(argv)
+    assert (code, out, err) == (64, "", line + "\n")
+
+
 # -- hilbert ----------------------------------------------------------------------
 
 
@@ -253,7 +265,7 @@ def test_verify_failure_exit_code(monkeypatch):
     import hesscoh.cli as cli_module
 
     failing = VerificationReport(
-        results=[CheckResult(name="demo", scope={}, passed=False, witness={"k": 1})]
+        results=[CheckResult(name="demo", scope={}, witness={"k": 1})]
     )
     monkeypatch.setattr(cli_module, "run_suite", lambda *a, **k: failing)
     code, out, _ = run_main(["verify", "--suite", "example-n4"])

@@ -410,15 +410,13 @@ def test_groebner_backed_checks_fail_each_part(monkeypatch, run, target, corrupt
 
 
 def test_check_result_contract():
-    ok = CheckResult(name="demo", scope={}, passed=True)
+    ok = CheckResult(name="demo", scope={})
     assert ok.to_dict() == {
         "name": "demo", "scope": {}, "passed": True, "witness": None,
         "elapsedSeconds": 0.0,
     }
     assert "elapsedSeconds" not in ok.to_dict(include_timing=False)
-    with pytest.raises(ValueError):
-        CheckResult(name="demo", scope={}, passed=False)
-    bad = CheckResult(name="demo", scope={}, passed=False, witness={"j": 1})
+    bad = CheckResult(name="demo", scope={}, witness={"j": 1})
     assert bad.witness == {"j": 1}
 
 
@@ -516,7 +514,7 @@ def test_run_suite_parallel_matches_serial():
 def test_report_rendering():
     passing = check_example_n4()
     failing = CheckResult(
-        name="demo", scope={"n": 2}, passed=False, witness={"j": 1}
+        name="demo", scope={"n": 2}, witness={"j": 1}
     )
     report = VerificationReport(results=[passing, failing], elapsed=0.5)
     assert not report.passed
