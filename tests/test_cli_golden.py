@@ -1,6 +1,8 @@
-"""Exact bytes of `present` and `generators` in every format and mode, and
-of `fixed-points` in both formats for a few h from n = 1 to the full flag
-at n = 7, and at n = 8 under `--cap 8`.
+"""Exact bytes of `present` and `generators` in every format and mode, of
+`fixed-points` in both formats for a few h from n = 1 to the full flag at
+n = 7, and at n = 8 under `--cap 8`, of `hilbert` for h = (2,3,3) and
+h = (1) in both formats and modes, and of `enumerate --n 3` in both
+formats.
 
 tests/cli_golden.json maps each argv (joined by spaces) to the output it
 printed when the fixture was recorded.  Refactors of the emitters must
@@ -33,7 +35,12 @@ ARGVS = [
     for h, cap in (("1", ()), ("2,3,3", ()), ("2,3,4,5,5", ()), ("3,3,4,5,6,6", ()),
                    ("7,7,7,7,7,7,7", ()), ("2,3,4,5,6,7,8,8", ("--cap", "8")))
     for fmt in ("text", "json")
-]
+] + [
+    ["hilbert", "--h", h, "--format", fmt, "--mode", mode]
+    for h in ("2,3,3", "1")
+    for fmt in ("text", "json")
+    for mode in ("equivariant", "ordinary")
+] + [["enumerate", "--n", "3", "--format", fmt] for fmt in ("text", "json")]
 
 
 def render(argv) -> str:
