@@ -255,6 +255,16 @@ def test_verify_single_suite_passes():
     assert out.rstrip().endswith("1 passed, 0 failed out of 1 checks")
 
 
+@pytest.mark.parametrize("fmt, unused", [("json", "render_text"), ("text", "to_dict")])
+def test_verify_builds_only_the_format_asked_for(monkeypatch, fmt, unused):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{unused} called for --format {fmt}")
+
+    monkeypatch.setattr(VerificationReport, unused, never)
+    code, out, _ = run_main(["verify", "--suite", "example-n4", "--format", fmt])
+    assert code == 0 and "example-n4" in out
+
+
 def test_verify_unknown_suite():
     code, _, err = run_main(["verify", "--suite", "bogus"])
     assert code == 64

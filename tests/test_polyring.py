@@ -96,6 +96,18 @@ def test_dimension_mismatch():
         x_var(1, 2) * x_var(1, 3)
 
 
+def test_subtraction_operand_rules():
+    n = 2
+    p = x_var(1, n) - 2 * t_var(n)
+    assert p - 3 == p + (-3)
+    assert p - Fraction(1, 2) == p + Fraction(-1, 2)
+    assert 3 - p == -(p - 3)
+    with pytest.raises(DimensionMismatchError):
+        p - x_var(1, n + 1)
+    with pytest.raises(TypeError):
+        p - "x"
+
+
 def test_total_degree_and_homogeneity():
     n = 4
     quartic = x_var(1, n)
@@ -252,3 +264,15 @@ def test_ring_axioms(a, b, c):
 def test_sorted_terms_is_canonical_key_descending(p):
     want = sorted(p.terms.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
     assert p.sorted_terms() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys(n=3, max_size=6), st.lists(_bounded_fraction(), min_size=4, max_size=4))
+def test_evaluate_sums_the_terms_at_the_point(p, point):
+    # the term-by-term sum evaluate computed before it went through substitute
+    want = Fraction(0)
+    for exps, coef in p.terms.items():
+        for value, e in zip(point, exps):
+            coef *= value ** e
+        want += coef
+    assert p.evaluate(point) == want
