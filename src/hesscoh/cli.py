@@ -82,8 +82,12 @@ def _emit(text: str, out_path: str | None) -> None:
         raise
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+def _respond(args, text, document, latex=None) -> int:
+    """Write the output args.format asks for, built by the one matching
+    zero-argument callable: text, the JSON document or LaTeX."""
+    build = {"text": text, "json": lambda: json.dumps(document(), indent=2), "latex": latex}
+    _emit(build[args.format](), args.out)
+    return EXIT_OK
 
 
 def _ring_text(n: int, mode: str) -> str:
@@ -96,19 +100,16 @@ def _ring_text(n: int, mode: str) -> str:
 def _emit_entries(args, table, head: str, payload: dict, key: str, title: str) -> int:
     """Emit the (i, j, g) entries of a PresentedIdeal or GeneratorMatrix:
     text after head, JSON under payload[key], LaTeX under title."""
-    if args.format == "text":
-        lines = [head, f"mode: {table.mode}", f"ring: {_ring_text(table.n, table.mode)}"]
-        lines += [f"f[{i},{j}] (deg {2 * (i - j + 1)}) = {g}" for i, j, g in table.entries]
-        _emit("\n".join(lines), args.out)
-    elif args.format == "json":
-        payload[key] = [
+    return _respond(
+        args,
+        lambda: "\n".join([
+            head, f"mode: {table.mode}", f"ring: {_ring_text(table.n, table.mode)}",
+            *(f"f[{i},{j}] (deg {2 * (i - j + 1)}) = {g}" for i, j, g in table.entries)]),
+        lambda: {**payload, key: [
             {"row": i, "col": j, "degree": 2 * (i - j + 1), "polynomial": poly_to_dict(g)}
-            for i, j, g in table.entries
-        ]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(latex_document(title, latex_lines(table.entries, table.mode)), args.out)
-    return EXIT_OK
+            for i, j, g in table.entries]},
+        lambda: latex_document(title, latex_lines(table.entries, table.mode)),
+    )
 
 
 def _cmd_present(args) -> int:
@@ -134,29 +135,25 @@ def _format_permutation(w) -> str:
     return " ".join(map(str, w))
 
 
-def _emit_listing(args, lines: list[str], payload: dict) -> int:
-    """Emit a listing: its lines and a count line as text, or payload, which
-    holds the count, as JSON."""
-    if args.format == "text":
-        _emit("\n".join([*lines, f"count: {payload['count']}"]), args.out)
-    else:
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+def _listing(lines: list[str]) -> str:
+    """A listing as text: its lines and a count line."""
+    return "\n".join([*lines, f"count: {len(lines)}"])
 
 
 def _cmd_fixed_points(args) -> int:
     h = parse_hessenberg(args.h)
     points = fixed_points(h, cap=args.cap)
-    return _emit_listing(args, [_format_permutation(w) for w in points], {
+    return _respond(args, lambda: _listing([_format_permutation(w) for w in points]), lambda: {
         "schemaVersion": SCHEMA_VERSION, "command": "fixed-points", "h": list(h.values),
         "count": len(points), "fixedPoints": [list(w) for w in points]})
 
 
 def _cmd_enumerate(args) -> int:
     functions = enumerate_all(args.n, cap=args.cap)
-    return _emit_listing(args, [",".join(map(str, h.values)) for h in functions], {
-        "schemaVersion": SCHEMA_VERSION, "command": "enumerate", "n": args.n,
-        "count": len(functions), "functions": [list(h.values) for h in functions]})
+    return _respond(args, lambda: _listing([",".join(map(str, h.values)) for h in functions]),
+                    lambda: {"schemaVersion": SCHEMA_VERSION, "command": "enumerate", "n": args.n,
+                             "count": len(functions),
+                             "functions": [list(h.values) for h in functions]})
 
 
 def _poincare_text(series, denominator_power: int) -> str:
@@ -188,34 +185,28 @@ def _cmd_hilbert(args) -> int:
     data = hilbert_series(gb)
     dimension = "infinite" if data.quotient_dimension is None else data.quotient_dimension
     text = _poincare_text(data.series, data.denominator_power)
-    if args.format == "text":
-        lines = [
-            f"h: {h}",
-            f"mode: {ideal.mode}",
-            f"poincare: {text}",
-            f"dimension: {dimension}",
-            f"fixed points: {count}",
-        ]
-        _emit("\n".join(lines), args.out)
-    else:
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "hilbert",
-            "h": list(h.values),
-            "mode": ideal.mode,
-            "poincare": {
-                "coefficients": [
-                    {"degree": 2 * d, "dimension": c} for d, c in enumerate(data.series) if c
-                ],
-                "denominatorPower": data.denominator_power,
-                "text": text,
-            },
-            "dimension": dimension,
-            "predictedDimension": sum(poincare_product(h)),
-            "fixedPointCount": count,
-        }
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _respond(args, lambda: "\n".join([
+        f"h: {h}",
+        f"mode: {ideal.mode}",
+        f"poincare: {text}",
+        f"dimension: {dimension}",
+        f"fixed points: {count}",
+    ]), lambda: {
+        "schemaVersion": SCHEMA_VERSION,
+        "command": "hilbert",
+        "h": list(h.values),
+        "mode": ideal.mode,
+        "poincare": {
+            "coefficients": [
+                {"degree": 2 * d, "dimension": c} for d, c in enumerate(data.series) if c
+            ],
+            "denominatorPower": data.denominator_power,
+            "text": text,
+        },
+        "dimension": dimension,
+        "predictedDimension": sum(poincare_product(h)),
+        "fixedPointCount": count,
+    })
 
 
 def _cmd_verify(args) -> int:
@@ -230,10 +221,8 @@ def _cmd_verify(args) -> int:
         pair_budget=args.pair_budget,
     )
     include_timing = not args.no_timing
-    if args.format == "text":
-        _emit(report.render_text(include_timing), args.out)
-    else:
-        _emit(_json_text(report.to_dict(include_timing)), args.out)
+    _respond(args, lambda: report.render_text(include_timing),
+             lambda: report.to_dict(include_timing))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -1,7 +1,9 @@
 """Shared exception types.
 
 Everything raised on purpose by this package derives from HesscohError, so
-callers can distinguish our diagnostics from genuine bugs.
+callers can distinguish our diagnostics from genuine bugs.  Two exceptions
+follow Python's own arithmetic: a coefficient that is not an int or a
+Fraction raises TypeError, and a division by zero ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -9,18 +11,23 @@ from __future__ import annotations
 
 def check_int(value, what: str, low: int, high: int | None = None) -> int:
     """value when it is an int (not a bool) with low <= value <= high (no
-    upper end when high is None); else ValueError naming what."""
+    upper end when high is None); else InvalidArgumentError naming what."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{what} must be at least {low}, got {value}")
+        raise InvalidArgumentError(f"{what} must be at least {low}, got {value}")
     if high is not None and value > high:
-        raise ValueError(f"{what} must be at most {high}, got {value}")
+        raise InvalidArgumentError(f"{what} must be at most {high}, got {value}")
     return value
 
 
 class HesscohError(Exception):
     """Base class for all errors raised by hesscoh."""
+
+
+class InvalidArgumentError(HesscohError, ValueError):
+    """An argument the library refuses: a non-integer, an out-of-range value,
+    an unknown name or an empty input."""
 
 
 class DimensionMismatchError(HesscohError, ValueError):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import check_int
+from .errors import InvalidArgumentError, check_int
 from .hessenberg import HessenbergFunction
 from .polyring import Polynomial, t_var, x_var, zero
 
@@ -161,7 +161,7 @@ class PresentedIdeal:
 def _builder(mode: str):
     """f_inductive for equivariant mode, f_ordinary for ordinary mode."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidArgumentError(f"mode must be one of {MODES}, got {mode!r}")
     return f_inductive if mode == "equivariant" else f_ordinary
 
 

@@ -71,7 +71,13 @@ from operator import le, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, NotZeroDimensionalError, ResourceLimitError, check_int
+from .errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    NotZeroDimensionalError,
+    ResourceLimitError,
+    check_int,
+)
 from .polyring import Monomial, Polynomial, canonical_key, poly_from_dict, poly_to_dict
 
 DEFAULT_PAIR_BUDGET = 200_000
@@ -311,7 +317,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """
     reducers = [b for b in basis if not b.is_zero()]
     if not reducers:
-        raise ValueError("normal_form needs a nonempty basis")
+        raise InvalidArgumentError("normal_form needs a nonempty basis")
     _common_n([f, *reducers])
     return _normal_form(f, _reducer_table(reducers))
 
@@ -330,9 +336,9 @@ def buchberger(
     handled.  The product criterion settles a coprime pair when it is
     queued: it is counted as processed and skipped right away and never
     enters the heap.  More than pair_budget processed pairs raises
-    ResourceLimitError, and a negative pair_budget ValueError up front.
-    Every S-pair reduction shares one first-divisor memo (see _reduce),
-    valid because the table is only appended to.
+    ResourceLimitError, and a negative pair_budget InvalidArgumentError
+    up front.  Every S-pair reduction shares one first-divisor memo (see
+    _reduce), valid because the table is only appended to.
 
     With cache_dir set, the result is stored under a content hash of
     the generators and reloaded on repeat calls.
@@ -340,7 +346,7 @@ def buchberger(
     check_int(pair_budget, "pair_budget", 0)
     gens = list(generators)
     if not gens:
-        raise ValueError("buchberger needs at least one generator")
+        raise InvalidArgumentError("buchberger needs at least one generator")
     n = _common_n(gens)
 
     cache_path = None
@@ -582,10 +588,8 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertData:
     """
     for g in gb.basis:
         if not g.is_homogeneous():
-            raise ValueError("Hilbert series needs homogeneous generators")
+            raise InvalidArgumentError("Hilbert series needs homogeneous generators")
     lts = gb.leading_monomials()
-    if any(sum(m) == 0 for m in lts):
-        return HilbertData(series=(), denominator_power=0)
     active = _active_vars(gb)
     m = len(active)
     numerator = _numerator([tuple(e[v] for v in active) for e in lts], m)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import InvalidHessenbergError, ResourceLimitError, check_int
+from .errors import InvalidArgumentError, InvalidHessenbergError, ResourceLimitError, check_int
 
 Permutation = tuple[int, ...]  # 1-based one-line notation
 
@@ -199,7 +199,7 @@ def oracle_fixed_point_check(w: Permutation, h: HessenbergFunction) -> bool:
     n = h.n
     w = tuple(w)
     if sorted(w) != list(range(1, n + 1)):
-        raise ValueError(f"{w} is not a permutation of 1..{n}")
+        raise InvalidArgumentError(f"{w} is not a permutation of 1..{n}")
     for i in range(1, n + 1):
         allowed = set(w[: h(i)])  # basis vectors spanning V_{h(i)}
         for k in range(1, i + 1):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DimensionMismatchError, check_int
+from .errors import DimensionMismatchError, InvalidArgumentError, check_int
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -66,11 +66,11 @@ class Polynomial:
         for exps, coef in items:
             exps = tuple(exps)
             if len(exps) != width:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"monomial {exps} has {len(exps)} exponents, expected {width} (x_1..x_{n}, t)"
                 )
             if any((not isinstance(e, int)) or e < 0 for e in exps):
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
+                raise InvalidArgumentError(f"exponents must be non-negative integers, got {exps}")
             c = clean.get(exps, _ZERO) + _coerce_scalar(coef)
             if c:
                 clean[exps] = c
@@ -162,9 +162,7 @@ class Polynomial:
         return Polynomial._raw(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = constant(other, self.n)
-        elif not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -252,18 +250,14 @@ class Polynomial:
         return Polynomial._raw(n, total)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Value at a rational point (v_1, ..., v_n, v_t)."""
+        """Value at a rational point (v_1, ..., v_n, v_t): the constant term
+        of substitute at the point."""
         if len(point) != self.n + 1:
-            raise ValueError(f"point must have {self.n + 1} coordinates, got {len(point)}")
-        values = [_coerce_scalar(v) for v in point]
-        total = _ZERO
-        for exps, coef in self._terms.items():
-            v = coef
-            for val, e in zip(values, exps):
-                if e:
-                    v *= val ** e
-            total += v
-        return total
+            raise InvalidArgumentError(
+                f"point must have {self.n + 1} coordinates, got {len(point)}")
+        *xs, t = (_coerce_scalar(v) for v in point)
+        image = self.substitute(dict(enumerate(xs, 1)), t=t)
+        return image.terms.get((0,) * (self.n + 1), _ZERO)
 
     # -- formatting ------------------------------------------------------
 
@@ -373,7 +367,7 @@ def elementary_symmetric(i: int, indices: Iterable[int], n: int) -> Polynomial:
     check_int(n, "n", 1)
     idx = tuple(check_int(k, "x index", 1, n) for k in indices)
     if len(set(idx)) != len(idx):
-        raise ValueError(f"variable indices must be distinct, got {idx}")
+        raise InvalidArgumentError(f"variable indices must be distinct, got {idx}")
     check_int(i, "i", 0, len(idx))
     if i == 0:
         return one(n)

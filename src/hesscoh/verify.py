@@ -40,7 +40,7 @@ from itertools import combinations, islice
 from math import factorial, prod
 from typing import NamedTuple
 
-from .errors import ResourceLimitError, WorkerCrashError, check_int
+from .errors import InvalidArgumentError, ResourceLimitError, WorkerCrashError, check_int
 from .generators import (
     f_closed,
     f_inductive,
@@ -254,7 +254,7 @@ def _integer_entries(generators) -> list[list]:
     A homogeneous generator g of weight d maps under x_k -> w(k) t to
     g(w(1), ..., w(n), 1) t^d, so with integer coefficients its image is
     integer arithmetic on these term lists.  Any other generator is
-    refused with ValueError, on every call.
+    refused with InvalidArgumentError, on every call.
 
     Each entry is kept for the life of the process in _INTEGER_TERMS,
     filled on first use and keyed on id(g) with g itself held in the
@@ -272,11 +272,11 @@ def _integer_entries(generators) -> list[list]:
         entry = _INTEGER_TERMS.get(id(g))
         if entry is None:
             if not g.is_homogeneous():
-                raise ValueError(f"generator {g} is not homogeneous")
+                raise InvalidArgumentError(f"generator {g} is not homogeneous")
             terms = []
             for exps, c in g.terms.items():
                 if c.denominator != 1:
-                    raise ValueError(f"generator {g} has the non-integer coefficient {c}")
+                    raise InvalidArgumentError(f"generator {g} has the non-integer coefficient {c}")
                 terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
             entry = _INTEGER_TERMS[id(g)] = [g, (g.total_degree(), terms), None]
         out.append(entry)
@@ -750,20 +750,22 @@ def run_suite(
 
     Unknown or repeated names, an empty list, an n_max, groebner_n_max or
     jobs below 1, a negative pair_budget and a selected check whose sweep
-    has no task (peterson starts at n = 2) are refused with ValueError,
-    and a sweep past a cap with ResourceLimitError, before any check runs.
+    has no task (peterson starts at n = 2) are refused with
+    InvalidArgumentError, and a sweep past a cap with ResourceLimitError,
+    before any check runs.
     Results come back in a deterministic order regardless of jobs; only
     the elapsed fields vary between runs.
     """
     selected = list(CHECK_NAMES if names == "all" else names)
     unknown = [name for name in selected if name not in _CHECKS]
     if unknown:
-        raise ValueError(f"unknown check(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
+        raise InvalidArgumentError(
+            f"unknown check(s): {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
     repeated = [name for name in dict.fromkeys(selected) if selected.count(name) > 1]
     if repeated:
-        raise ValueError(f"repeated check(s): {', '.join(repeated)}")
+        raise InvalidArgumentError(f"repeated check(s): {', '.join(repeated)}")
     if not selected:
-        raise ValueError("empty suite: name at least one check")
+        raise InvalidArgumentError("empty suite: name at least one check")
     bounds = {"n_max": n_max, "groebner_n_max": groebner_n_max}
     for option, value in bounds.items():
         if value is not None:
@@ -777,7 +779,7 @@ def run_suite(
     for name in selected:
         payloads = _payloads(name, _CHECKS[name], bounds)
         if not payloads:
-            raise ValueError(f"empty sweep: {name} has no task within these bounds")
+            raise InvalidArgumentError(f"empty sweep: {name} has no task within these bounds")
         tasks += [(name, payload) for payload in payloads]
     start = time.perf_counter()
     results: list[CheckResult] = []

@@ -3,9 +3,11 @@
 Each entry point below is called with a bool, a float and the integers
 just outside its range, and must refuse each with check_int's ValueError:
 `{what} must be an integer, got ...`, `... must be at least {low}, got
-...` or `... must be at most {high}, got ...`.  The conclusions a result
-used to store, CheckResult.passed and HilbertData.quotient_dimension, are
-derived from what it holds.
+...` or `... must be at most {high}, got ...`.  Every such refusal, and
+every other argument the library refuses, is an InvalidArgumentError, so
+both a HesscohError and a ValueError.  The conclusions a result used to
+store, CheckResult.passed and HilbertData.quotient_dimension, are derived
+from what it holds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 
 import pytest
 
-from hesscoh.errors import check_int
+from hesscoh.errors import HesscohError, InvalidArgumentError, check_int
 from hesscoh.generators import (
     delta,
     f_closed,
@@ -27,7 +29,7 @@ from hesscoh.generators import (
     peterson_rewrite_factor,
     q_flag,
 )
-from hesscoh.groebner import HilbertData, buchberger, hilbert_series
+from hesscoh.groebner import HilbertData, buchberger, hilbert_series, normal_form
 from hesscoh.hessenberg import (
     HessenbergFunction,
     enumerate_all,
@@ -106,8 +108,29 @@ def _refusals():
 
 @pytest.mark.parametrize("call, value, message", _refusals())
 def test_integer_arguments_are_refused_through_check_int(call, value, message):
-    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+    with pytest.raises(ValueError, match=re.escape(message) + "$") as caught:
         call(value)
+    assert isinstance(caught.value, HesscohError)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: run_suite(["bogus"]), "unknown check(s): bogus; known: ", id="unknown"),
+    pytest.param(lambda: run_suite(["example-n4", "example-n4"]),
+                 "repeated check(s): example-n4", id="repeated"),
+    pytest.param(lambda: run_suite([]), "empty suite: name at least one check", id="empty-suite"),
+    pytest.param(lambda: buchberger([]), "buchberger needs at least one generator",
+                 id="buchberger-empty"),
+    pytest.param(lambda: normal_form(x_var(1, 2), []), "normal_form needs a nonempty basis",
+                 id="normal_form-empty"),
+    pytest.param(lambda: elementary_symmetric(1, (1, 1), 2),
+                 "variable indices must be distinct, got (1, 1)", id="repeated-index"),
+    pytest.param(lambda: ideal_generators(H233, "bogus"),
+                 "mode must be one of ('equivariant', 'ordinary'), got 'bogus'", id="mode"),
+])
+def test_other_refusals_are_invalid_argument_errors(call, message):
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(message)) as caught:
+        call()
+    assert isinstance(caught.value, HesscohError) and isinstance(caught.value, ValueError)
 
 
 def test_check_int_returns_the_value():
