@@ -28,28 +28,31 @@ no memo outlives the call that made it.  buchberger settles a pair with
 coprime leading monomials (the product criterion) when it queues it, so
 only pairs that may need a reduction enter the heap.
 
-Inside the integer core a monomial is one int (Monagan & Pearce, "Sparse
+Inside groebner a monomial is one int (Monagan & Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comput. 2011).  Its low
-bits hold one FIELD_BITS-wide field per variable, whose top bit is a
-guard bit; above them sits the heap key, a linear form in the exponents
-with integer weights (_heap_weights; smaller key = larger monomial).  Both
-parts are linear, so a product of monomials is +, the quotient by a
-divisor is -, ``a`` divides ``b`` iff ``(b - a) & guard`` is 0, and the
-ints sort as their heap keys: the pending terms form a heap of plain
-ints and the leading monomial is the smallest int.  An exponent past
-MAX_EXPONENT, on input or in any product, raises ResourceLimitError
-rather than carry into the next field.  The Hilbert series recursion
-packs the leading monomials the same way, with the degree above the
-fields.  Exponent tuples remain at the boundary: Polynomial in and out,
-the pair lcms, the reduced basis and the cache.
+bits hold one FIELD_BITS-wide field per variable, t last, whose top bit
+is a guard bit; above them sits the heap key, a linear form in the
+exponents with integer weights (_heap_weights; smaller key = larger
+monomial).  Both parts are linear, so a product of monomials is +, the
+quotient by a divisor is -, ``a`` divides ``b`` iff ``(b - a) & guard``
+is 0, and the ints sort as their heap keys: the pending terms form a
+heap of plain ints and the leading monomial is the smallest int.  An
+exponent past MAX_EXPONENT, on input or in any product, raises
+ResourceLimitError rather than carry into the next field.  The quotient
+invariants take a basis element's leading monomial as its smallest
+packed term and run the Hilbert series recursion and the
+standard-monomial walk on those ints.  Only _pack_weights, _pack, _guard
+and _unpack know the layout.  Exponent tuples remain at the boundary:
+Polynomial in and out, the pair lcms, the reduced basis, the standard
+monomials returned and the cache.
 
 There is one monomial order, polyring's canonical one: degrevlex with
 x_1 > ... > x_n > t (polyring.canonical_key), the order the
 presentations are displayed in.
 
 For quotient invariants the ambient ring is Q[x_1..x_n] when no basis
-element mentions t (ordinary mode) and Q[x_1..x_n, t] otherwise; the
-t slot of the exponent tuples is inert in the first case.
+element mentions t (ordinary mode) and Q[x_1..x_n, t] otherwise; in
+the first case the t field of every lead is 0 and no invariant reads it.
 
 Only buchberger reads and writes an on-disk cache, through its
 cache_dir argument, which no command sets: a library-only path, kept
@@ -67,7 +70,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import le, mul
+from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,7 +81,7 @@ from .errors import (
     ResourceLimitError,
     check_int,
 )
-from .polyring import Monomial, Polynomial, canonical_key, poly_from_dict, poly_to_dict
+from .polyring import Monomial, Polynomial, poly_from_dict, poly_to_dict
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -119,22 +122,25 @@ class GroebnerStats:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis: monic, inter-reduced, sorted by leading
-    monomial (ascending in degrevlex)."""
+    monomial (ascending in degrevlex).  A basis polynomial from another
+    ring raises DimensionMismatchError, a zero one InvalidArgumentError."""
 
     n: int
     basis: tuple[Polynomial, ...]
     stats: GroebnerStats = field(compare=False)
 
+    def __post_init__(self) -> None:
+        for g in self.basis:
+            if g.n != self.n:
+                raise DimensionMismatchError(
+                    f"ambient rings differ: basis n={self.n}, polynomial n={g.n}"
+                )
+            if g.is_zero():
+                raise InvalidArgumentError("a Groebner basis holds no zero polynomial")
+
     @property
     def uses_t(self) -> bool:
         return any(exps[self.n] for g in self.basis for exps in g.terms)
-
-    def leading_monomials(self) -> list[Monomial]:
-        return [max(g.terms, key=canonical_key) for g in self.basis]
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
 
 
 def _common_n(polys: Sequence[Polynomial]) -> int:
@@ -515,11 +521,21 @@ def basis_equality_witness(
 # -- quotient invariants ---------------------------------------------------
 
 
-def _active_vars(gb: GroebnerBasis) -> list[int]:
-    active = list(range(gb.n))
-    if gb.uses_t:
-        active.append(gb.n)
-    return active
+def _lead_ideal(gb: GroebnerBasis) -> tuple[list[int], tuple[int, ...], int]:
+    """(leads, units, guard): each basis element's leading monomial as its
+    smallest packed term, the rule _reducer_table uses; units[v] is the
+    packed ambient variable v, t last when the basis mentions it; and the
+    guard mask of the ring's fields."""
+    weights = _pack_weights(gb.n + 1)
+    leads = [min(_pack(e, weights) for e in g.terms) for g in gb.basis]
+    return leads, weights[:gb.n + 1 if gb.uses_t else gb.n], _guard(gb.n + 1)
+
+
+def _supports(monomials: list[int], guard: int) -> list[int]:
+    """The guard bits of the nonzero fields of each packed monomial:
+    adding MAX_EXPONENT to a field sets its guard bit iff it is nonzero."""
+    fill = (guard >> FIELD_BITS - 1) * MAX_EXPONENT
+    return [(m + fill) & guard for m in monomials]
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
@@ -527,39 +543,37 @@ def standard_monomials(gb: GroebnerBasis) -> list[Monomial]:
 
     Raises NotZeroDimensionalError unless every ambient variable has a
     pure power among the leading monomials (always the case for t in
-    equivariant ideals, hence the error there).
+    equivariant ideals, hence the error there).  The walk from 1 runs on
+    packed monomials; only the monomials returned are unpacked.
     """
-    lts = gb.leading_monomials()
-    if any(sum(m) == 0 for m in lts):
-        return []  # unit ideal, zero ring
-    active = _active_vars(gb)
-    if not lts:
+    leads, units, guard = _lead_ideal(gb)
+    if 0 in leads:
+        return []  # a degree-0 lead: the unit ideal, zero ring
+    if not leads:
         raise NotZeroDimensionalError("not-zero-dimensional: the zero ideal")
-    for v in active:
-        if not any(m[v] and sum(m) == m[v] for m in lts):
+    supports = set(_supports(leads, guard))
+    for v in range(len(units)):
+        if 1 << FIELD_BITS * (v + 1) - 1 not in supports:
             name = "t" if v == gb.n else f"x{v + 1}"
             raise NotZeroDimensionalError(
                 f"not-zero-dimensional: no pure power of {name} among the leading terms"
             )
-    width = gb.n + 1
-    start = (0,) * width
-    seen = {start}
-    queue = [start]
-    out: list[Monomial] = []
+    # a walked monomial stays below the pure powers, so no field overflows
+    seen = {0}
+    queue = [0]
+    out: list[int] = []
     while queue:
         m = queue.pop()
         out.append(m)
-        for v in active:
-            up = list(m)
-            up[v] += 1
-            cand = tuple(up)
+        for unit in units:
+            cand = m + unit
             if cand in seen:
                 continue
             seen.add(cand)
-            if not any(_divides(lt, cand) for lt in lts):
+            if all((cand - lt) & guard for lt in leads):
                 queue.append(cand)
-    out.sort(key=canonical_key)
-    return out
+    out.sort(reverse=True)
+    return [_unpack(m, gb.n + 1) for m in out]
 
 
 @dataclass(frozen=True)
@@ -582,17 +596,17 @@ class HilbertData:
 
 
 def hilbert_series(gb: GroebnerBasis) -> HilbertData:
-    """Hilbert series of ring/ideal from the leading-term ideal.
+    """Hilbert series of ring/ideal from the leading-term ideal, whose
+    packed minimal generators go through _hilbert_numerator.
 
     Requires a homogeneous basis (true for every ideal built here).
     """
     for g in gb.basis:
         if not g.is_homogeneous():
             raise InvalidArgumentError("Hilbert series needs homogeneous generators")
-    lts = gb.leading_monomials()
-    active = _active_vars(gb)
-    m = len(active)
-    numerator = _numerator([tuple(e[v] for v in active) for e in lts], m)
+    leads, units, guard = _lead_ideal(gb)
+    m = len(units)
+    numerator = _hilbert_numerator(_minimalize(leads, guard), units, guard)
     cancels = 0
     while cancels < m:
         quotient, ok = _divide_one_minus_q(numerator)
@@ -607,35 +621,21 @@ def hilbert_series(gb: GroebnerBasis) -> HilbertData:
     return HilbertData(series=tuple(coeffs), denominator_power=remaining)
 
 
-def _numerator(monomials: list[Monomial], m: int) -> list[int]:
-    """Numerator K with Hilb(R/M) = K(q)/(1-q)^m for the monomial ideal M
-    spanned by exponent tuples of length m.
-
-    The recursion runs on packed monomials: one FIELD_BITS-wide field per
-    variable under a guard bit, as in the integer core, and the degree
-    above the fields, so that ints sort by degree first and ``a`` divides
-    ``b`` iff ``(b - a) & guard`` is 0.  An exponent past MAX_EXPONENT
-    raises ResourceLimitError.
-    """
-    low = FIELD_BITS * m
-    units = tuple((1 << low) + (1 << FIELD_BITS * v) for v in range(m))
-    guard = _guard(m)
-    return _hilbert_numerator(_minimalize([_pack(e, units) for e in monomials], guard),
-                              units, guard)
-
-
 def _minimalize(gens: list[int], guard: int) -> list[int]:
-    """The minimal generators of a packed monomial ideal, ascending."""
+    """The minimal generators of a packed monomial ideal, descending: a
+    proper divisor has the lower degree, hence the larger int, so it
+    comes before its multiples."""
     out: list[int] = []
-    for g in sorted(set(gens)):
+    for g in sorted(set(gens), reverse=True):
         if all((g - kept) & guard for kept in out):
             out.append(g)
     return out
 
 
 def _hilbert_numerator(gens: list[int], units: tuple[int, ...], guard: int) -> list[int]:
-    """_numerator of the minimal packed generators gens; units[v] is the
-    packed variable v.
+    """Numerator K with Hilb(R/M) = K(q)/(1-q)^m for the monomial ideal M
+    with minimal packed generators gens, in m = len(units) variables;
+    units[v] is the packed variable v, and every other field of gens is 0.
 
     Splits on a pivot variable occurring in the most mixed generators:
     K(M) = K(M + (x)) + q * K(M : x); pure-power ideals are the base
@@ -646,13 +646,13 @@ def _hilbert_numerator(gens: list[int], units: tuple[int, ...], guard: int) -> l
     if not gens[0]:
         return [0]  # a degree-0 generator sorts first: the unit ideal
     m = len(units)
-    # x + MAX_EXPONENT sets the guard bit of a field x iff x is nonzero
-    nonzero = [(g + (guard >> FIELD_BITS - 1) * MAX_EXPONENT) & guard for g in gens]
+    nonzero = _supports(gens, guard)
     mixed = [z for z in nonzero if z & (z - 1)]
     if not mixed:
         out = [1]
-        for g in gens:
-            out = _mul_one_minus_power(out, g >> FIELD_BITS * m)
+        for g, z in zip(gens, nonzero):
+            # a pure power's degree is its one nonzero field, under guard bit z
+            out = _mul_one_minus_power(out, g >> z.bit_length() - FIELD_BITS & MAX_EXPONENT)
         return out
     counts = [sum(z >> shift & 1 for z in mixed)
               for shift in range(FIELD_BITS - 1, FIELD_BITS * m, FIELD_BITS)]
@@ -730,13 +730,10 @@ def _cache_load(path: Path, n: int) -> GroebnerBasis | None:
         data = json.loads(path.read_text())
         if data["schemaVersion"] != CACHE_SCHEMA_VERSION:
             return None
-        basis = tuple(poly_from_dict(d) for d in data["basis"])
-        stats = GroebnerStats(**data["stats"])
+        return GroebnerBasis(n=n, basis=tuple(poly_from_dict(d) for d in data["basis"]),
+                             stats=GroebnerStats(**data["stats"]))
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if any(g.n != n for g in basis):
-        return None
-    return GroebnerBasis(n=n, basis=basis, stats=stats)
 
 
 def _cache_store(path: Path, gb: GroebnerBasis) -> None:

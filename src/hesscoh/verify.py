@@ -3,11 +3,11 @@
 Every check returns a CheckResult whose witness pinpoints the first
 failure (indices, permutation, residue polynomial) so a red result is
 actionable.  run_suite sweeps each check over every n, or every
-Hessenberg function h of each n, up to the check's own top.  Of the
-default suite's 0.40-0.61 s of check time in process (2 cores, Python
-3.11.7, median of 12 runs; the host's speed swung by half between
-batches), the localization sweep takes ~79 %, the exactness sweep ~1.5 %
-(0.006-0.010 s) and the seven other checks ~19 % together.  Both
+Hessenberg function h of each n, up to the check's own top.  In process
+the default suite's checks took 0.41-0.65 s (12 fresh interpreters on a
+2-core Linux host, Python 3.11.7; the time swings with the host's load),
+and in the median the localization sweep took ~79 %, the exactness sweep
+~1.6 % (0.006-0.011 s) and the seven other checks ~20 % together.  Both
 permutation sweeps read the generators' integer terms from one table,
 converted once per process; exactness also reads each generator's zero
 set over S_n there, computed once per process.  The Groebner-backed

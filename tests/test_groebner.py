@@ -10,6 +10,7 @@ S-polynomial to zero, which is the classical Buchberger criterion.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import json
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from hesscoh.errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     NotZeroDimensionalError,
     ResourceLimitError,
 )
@@ -30,12 +32,12 @@ from hesscoh.groebner import (
     MAX_EXPONENT,
     GroebnerBasis,
     GroebnerStats,
-    _divides,
     _guard,
     _heap_weights,
+    _hilbert_numerator,
     _integer_terms,
+    _minimalize,
     _mul_one_minus_power,
-    _numerator,
     _pack,
     _pack_weights,
     _poly_add,
@@ -391,7 +393,7 @@ def test_packed_divisibility_agrees_with_divides(monomials):
     multiple = tuple(min(x + y, MAX_EXPONENT) for x, y in zip(a, b))
     for small, big in ((a, b), (b, a), (a, multiple), (multiple, a)):
         packed = not (_pack(big, weights) - _pack(small, weights)) & guard
-        assert packed == _divides(small, big)
+        assert packed == _div(small, big)
 
 
 def test_exponent_past_the_packed_field_is_refused():
@@ -546,7 +548,7 @@ def test_buchberger_frozen_small_basis():
     eq = buchberger(list(ideal_generators(h, "equivariant").generators))
     assert eq.basis == (x1 + x2 - 3 * t, x2 * x2 - 3 * x2 * t + 2 * t * t)
     assert eq.uses_t
-    assert eq.leading_monomials() == [(1, 0, 0), (0, 2, 0)]
+    assert [leading_term(g)[0] for g in eq.basis] == [(1, 0, 0), (0, 2, 0)]
 
 
 def test_buchberger_input_validation():
@@ -561,6 +563,13 @@ def test_buchberger_zero_ideal():
     assert gb.basis == ()
     with pytest.raises(NotZeroDimensionalError, match="zero ideal"):
         standard_monomials(gb)
+
+
+def test_basis_refuses_a_zero_or_foreign_polynomial():
+    with pytest.raises(InvalidArgumentError, match="no zero polynomial"):
+        GroebnerBasis(n=2, basis=(Polynomial(2), x_var(1, 2)), stats=GroebnerStats())
+    with pytest.raises(DimensionMismatchError, match="basis n=3, polynomial n=2"):
+        GroebnerBasis(n=3, basis=(x_var(1, 2),), stats=GroebnerStats())
 
 
 def test_basis_equality_ignores_stats():
@@ -763,18 +772,91 @@ def _ref_hilbert_numerator(gens, m):
     return _poly_add(left, [0] + right)
 
 
+def _numerator(monomials, m):
+    """The engine's numerator of the ideal spanned by exponent tuples of
+    length m, packed in the engine's layout."""
+    weights, guard = _pack_weights(m), _guard(m)
+    packed = _minimalize([_pack(e, weights) for e in monomials], guard)
+    return _hilbert_numerator(packed, weights, guard)
+
+
 def _assert_numerator_matches_reference(monomials, m):
     assert _numerator(monomials, m) == _ref_hilbert_numerator(_ref_minimalize(monomials), m)
 
 
+def _ambient(gb):
+    """The ambient variables of the quotient: x_1..x_n, then t if used."""
+    return list(range(gb.n + 1 if gb.uses_t else gb.n))
+
+
+def _ref_hilbert_series(gb):
+    """(series, denominator power) from the exponent-tuple leads through
+    the tuple recursion, the reference for hilbert_series."""
+    active = _ambient(gb)
+    lts = [tuple(leading_term(g)[0][v] for v in active) for g in gb.basis]
+    numerator, power = _ref_hilbert_numerator(_ref_minimalize(lts), len(active)), len(active)
+    while power and sum(numerator) == 0:
+        numerator = list(itertools.accumulate(numerator))[:-1]  # divided by (1 - q)
+        power -= 1
+    while numerator and not numerator[-1]:
+        numerator.pop()
+    return tuple(numerator), power
+
+
+def _ref_standard_monomials(gb):
+    """The walk on exponent tuples, the reference for standard_monomials."""
+    lts = [leading_term(g)[0] for g in gb.basis]
+    if any(sum(m) == 0 for m in lts):
+        return []
+    active = _ambient(gb)
+    if not lts:
+        raise NotZeroDimensionalError("not-zero-dimensional: the zero ideal")
+    for v in active:
+        if not any(m[v] and sum(m) == m[v] for m in lts):
+            name = "t" if v == gb.n else f"x{v + 1}"
+            raise NotZeroDimensionalError(
+                f"not-zero-dimensional: no pure power of {name} among the leading terms"
+            )
+    start = (0,) * (gb.n + 1)
+    seen, queue, out = {start}, [start], []
+    while queue:
+        m = queue.pop()
+        out.append(m)
+        for v in active:
+            cand = tuple(e + (w == v) for w, e in enumerate(m))
+            if cand not in seen:
+                seen.add(cand)
+                if not any(_div(lt, cand) for lt in lts):
+                    queue.append(cand)
+    return sorted(out, key=canonical_key)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_small_basis():
+    """The reduced basis of every h with n <= 5, in both modes."""
+    return [buchberger(list(ideal_generators(h, mode).generators))
+            for n in range(1, 6) for h in enumerate_all(n) for mode in ("ordinary", "equivariant")]
+
+
 def test_packed_hilbert_numerator_matches_reference_on_every_small_basis():
-    for n in range(1, 6):
-        for h in enumerate_all(n):
-            for mode in ("ordinary", "equivariant"):
-                gb = buchberger(list(ideal_generators(h, mode).generators))
-                active = list(range(n + 1 if gb.uses_t else n))
-                lts = [tuple(e[v] for v in active) for e in gb.leading_monomials()]
-                _assert_numerator_matches_reference(lts, len(active))
+    for gb in _every_small_basis():
+        active = _ambient(gb)
+        lts = [tuple(leading_term(g)[0][v] for v in active) for g in gb.basis]
+        _assert_numerator_matches_reference(lts, len(active))
+
+
+def _outcome(call, gb):
+    try:
+        return call(gb)
+    except NotZeroDimensionalError as exc:
+        return str(exc)
+
+
+def test_quotient_invariants_match_the_tuple_references_on_every_small_basis():
+    for gb in _every_small_basis():
+        data = hilbert_series(gb)
+        assert (data.series, data.denominator_power) == _ref_hilbert_series(gb)
+        assert _outcome(standard_monomials, gb) == _outcome(_ref_standard_monomials, gb)
 
 
 @st.composite
@@ -910,6 +992,16 @@ def test_cache_entry_from_another_ring_is_a_miss(tmp_path):
     gens, first, path = _cached_entry(tmp_path)
     data = json.loads(path.read_text())
     data["basis"] = [poly_to_dict(x_var(1, 4))]  # the request is n = 3
+    path.write_text(json.dumps(data))
+    again = buchberger(gens, cache_dir=tmp_path)
+    assert again.basis == first.basis
+    assert json.loads(path.read_text())["basis"] == [poly_to_dict(g) for g in first.basis]
+
+
+def test_cache_entry_with_a_zero_polynomial_is_a_miss(tmp_path):
+    gens, first, path = _cached_entry(tmp_path)
+    data = json.loads(path.read_text())
+    data["basis"] = [poly_to_dict(zero(3))]
     path.write_text(json.dumps(data))
     again = buchberger(gens, cache_dir=tmp_path)
     assert again.basis == first.basis
