@@ -42,9 +42,9 @@ ResourceLimitError rather than carry into the next field.  The quotient
 invariants take a basis element's leading monomial as its smallest
 packed term and run the Hilbert series recursion and the
 standard-monomial walk on those ints.  Only _pack_weights, _pack, _guard
-and _unpack know the layout.  Exponent tuples remain at the boundary:
-Polynomial in and out, the pair lcms, the reduced basis, the standard
-monomials returned and the cache.
+and _unpack convert between the layout and exponent tuples, which remain
+at the boundary: Polynomial in and out, the pair lcms, the reduced
+basis, the standard monomials returned and the cache.
 
 There is one monomial order, polyring's canonical one: degrevlex with
 x_1 > ... > x_n > t (polyring.canonical_key), the order the

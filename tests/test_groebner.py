@@ -789,12 +789,18 @@ def _ambient(gb):
     return list(range(gb.n + 1 if gb.uses_t else gb.n))
 
 
+def _ambient_leads(gb):
+    """(each basis element's leading exponents on the ambient variables,
+    the number of those variables)."""
+    active = _ambient(gb)
+    return [tuple(leading_term(g)[0][v] for v in active) for g in gb.basis], len(active)
+
+
 def _ref_hilbert_series(gb):
     """(series, denominator power) from the exponent-tuple leads through
     the tuple recursion, the reference for hilbert_series."""
-    active = _ambient(gb)
-    lts = [tuple(leading_term(g)[0][v] for v in active) for g in gb.basis]
-    numerator, power = _ref_hilbert_numerator(_ref_minimalize(lts), len(active)), len(active)
+    lts, power = _ambient_leads(gb)
+    numerator = _ref_hilbert_numerator(_ref_minimalize(lts), power)
     while power and sum(numerator) == 0:
         numerator = list(itertools.accumulate(numerator))[:-1]  # divided by (1 - q)
         power -= 1
@@ -840,9 +846,7 @@ def _every_small_basis():
 
 def test_packed_hilbert_numerator_matches_reference_on_every_small_basis():
     for gb in _every_small_basis():
-        active = _ambient(gb)
-        lts = [tuple(leading_term(g)[0][v] for v in active) for g in gb.basis]
-        _assert_numerator_matches_reference(lts, len(active))
+        _assert_numerator_matches_reference(*_ambient_leads(gb))
 
 
 def _outcome(call, gb):
