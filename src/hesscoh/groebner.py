@@ -31,20 +31,22 @@ only pairs that may need a reduction enter the heap.
 Inside groebner a monomial is one int (Monagan & Pearce, "Sparse
 polynomial division using a heap", J. Symb. Comput. 2011).  Its low
 bits hold one FIELD_BITS-wide field per variable, t last, whose top bit
-is a guard bit; above them sits the heap key, a linear form in the
-exponents with integer weights (_heap_weights; smaller key = larger
-monomial).  Both parts are linear, so a product of monomials is +, the
-quotient by a divisor is -, ``a`` divides ``b`` iff ``(b - a) & guard``
-is 0, and the ints sort as their heap keys: the pending terms form a
-heap of plain ints and the leading monomial is the smallest int.  An
-exponent past MAX_EXPONENT, on input or in any product, raises
-ResourceLimitError rather than carry into the next field.  The quotient
-invariants take a basis element's leading monomial as its smallest
-packed term and run the Hilbert series recursion and the
-standard-monomial walk on those ints.  Only _pack_weights, _pack, _guard
-and _unpack convert between the layout and exponent tuples, which remain
-at the boundary: Polynomial in and out, the pair lcms, the reduced
-basis, the standard monomials returned and the cache.
+is a guard bit; the bits above them hold minus its degree (_pack_weights).
+Each exponent is stored once, and the int is its own degrevlex key,
+smaller int = larger monomial: degree decides first, then the fields
+read as one number with t most significant.  Both parts are linear, so
+a product of monomials is +, the quotient by a divisor is -, ``a``
+divides ``b`` iff ``(b - a) & guard`` is 0, and m has degree
+``-(m >> FIELD_BITS*nvars)``.  The pending terms form a heap of plain
+ints, the leading monomial is the smallest int, and buchberger queues
+its pairs by their packed lcms.  An exponent past MAX_EXPONENT, on input
+or in any product, raises ResourceLimitError rather than carry into the
+next field.  The quotient invariants run the Hilbert series recursion
+and the standard-monomial walk on the packed leading monomials.  Only
+_pack_weights, _pack, _guard and _unpack convert between the layout and
+exponent tuples, which remain at the boundary: Polynomial in and out,
+the fieldwise max that forms a pair lcm, the reduced basis, the
+standard monomials returned and the cache.
 
 There is one monomial order, polyring's canonical one: degrevlex with
 x_1 > ... > x_n > t (polyring.canonical_key), the order the
@@ -89,20 +91,6 @@ CACHE_SCHEMA_VERSION = 1
 
 FIELD_BITS = 16  # per variable in a packed monomial, guard bit included
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
-
-
-def _heap_weights(nvars: int) -> tuple[int, ...]:
-    """The weight of each variable in the heap key, an ascending sort key
-    (smaller key = larger monomial) that is linear in the exponents.
-
-    The key reads (-degree, the exponents in reverse) as one number in
-    base B = MAX_EXPONENT + 1, the degree digit weighing B**nvars, so
-    variable v weighs B**v - B**nvars.  It orders every monomial whose
-    exponents are at most MAX_EXPONENT.
-    """
-    base = MAX_EXPONENT + 1
-    degree = base ** nvars
-    return tuple(base ** v - degree for v in range(nvars))
 
 
 @dataclass
@@ -160,11 +148,10 @@ def _common_n(polys: Sequence[Polynomial]) -> int:
 
 
 def _pack_weights(nvars: int) -> tuple[int, ...]:
-    """The packed monomial of each variable: its heap-key weight above the
-    fields, and a 1 in its own field."""
-    low = FIELD_BITS * nvars
-    return tuple((w << low) + (1 << FIELD_BITS * v)
-                 for v, w in enumerate(_heap_weights(nvars)))
+    """The packed monomial of each variable: a 1 in its own field and
+    degree 1, stored negated above the fields."""
+    degree = 1 << FIELD_BITS * nvars
+    return tuple((1 << FIELD_BITS * v) - degree for v in range(nvars))
 
 
 def _pack(exponents: Monomial, weights: tuple[int, ...]) -> int:
@@ -176,7 +163,7 @@ def _pack(exponents: Monomial, weights: tuple[int, ...]) -> int:
 
 def _unpack(m: int, nvars: int) -> Monomial:
     """The exponent tuple: the fields read as little-endian unsigned
-    16-bit words (FIELD_BITS is 16), the heap key above them masked off."""
+    16-bit words (FIELD_BITS is 16), the degree above them masked off."""
     fields = m & ((1 << FIELD_BITS * nvars) - 1)
     return struct.unpack(f"<{nvars}H", fields.to_bytes(2 * nvars, "little"))
 
@@ -337,14 +324,15 @@ def buchberger(
     """Reduced Groebner basis of the ideal spanned by `generators`.
 
     Pairs are handled in normal-selection order (lcm degree, then the
-    lcm itself, then indices); the chain criterion drops (i, j) when
-    some g_k divides the pair lcm and both companion pairs have been
-    handled.  The product criterion settles a coprime pair when it is
-    queued: it is counted as processed and skipped right away and never
-    enters the heap.  More than pair_budget processed pairs raises
-    ResourceLimitError, and a negative pair_budget InvalidArgumentError
-    up front.  Every S-pair reduction shares one first-divisor memo (see
-    _reduce), valid because the table is only appended to.
+    lcm itself, then indices), the ascending order of (-packed lcm, i,
+    j); the chain criterion drops (i, j) when some g_k divides the pair
+    lcm and both companion pairs have been handled.  The product
+    criterion settles a coprime pair when it is queued: it is counted as
+    processed and skipped right away and never enters the heap.  More
+    than pair_budget processed pairs raises ResourceLimitError, and a
+    negative pair_budget InvalidArgumentError up front.  Every S-pair
+    reduction shares one first-divisor memo (see _reduce), valid because
+    the table is only appended to.
 
     With cache_dir set, the result is stored under a content hash of
     the generators and reloaded on repeat calls.
@@ -364,7 +352,7 @@ def buchberger(
 
     # table[k] is the primitive integer reducer of the k-th basis element;
     # leads[k] is its packed leading monomial, that monomial's exponent
-    # tuple and the bitmask of the variables in it
+    # tuple (for the pair lcms) and the guard bits of its variables
     table: list[tuple] = []
     for reducer in _reducer_table([g for g in gens if not g.is_zero()]):
         if reducer not in table:
@@ -388,14 +376,13 @@ def buchberger(
         record element j's lead."""
         packed = table[j][0]
         lt = _unpack(packed, nvars)
-        support = sum(1 << v for v, e in enumerate(lt) if e)
+        (support,) = _supports((packed,), guard)
         coprime = 0
         for i, (_, lt_i, support_i) in enumerate(leads):
             if support_i & support:
                 # an lcm's fields are no larger than its arguments', so
                 # packing it needs no overflow check
-                lcm = tuple(map(max, lt_i, lt))
-                heappush(heap, (sum(lcm), -sum(map(mul, weights, lcm)), i, j))
+                heappush(heap, (-sum(map(mul, weights, map(max, lt_i, lt))), i, j))
             else:
                 coprime += 1
         stats.product_skips += coprime
@@ -407,10 +394,10 @@ def buchberger(
 
     memo: dict[int, int] = {}
     while heap:
-        degree, neg_lcm, i, j = heappop(heap)
+        neg_lcm, i, j = heappop(heap)
         count_processed(1)
         pair_lcm = -neg_lcm
-        if _chain_criterion(i, j, pair_lcm, degree, leads, guard):
+        if _chain_criterion(i, j, pair_lcm, leads, guard):
             stats.chain_skips += 1
             continue
         s_terms = _s_terms(table[i], table[j], pair_lcm, guard)
@@ -429,27 +416,31 @@ def buchberger(
     return result
 
 
-def _chain_criterion(i, j, pair_lcm, degree, leads, guard) -> bool:
-    """Whether some other g_k divides the lcm of the pair (i, j) while
+def _chain_criterion(i, j, pair_lcm, leads, guard) -> bool:
+    """Whether some other g_k divides the lcm L of the pair (i, j) while
     neither (i, k) nor (j, k) is still queued.
 
-    Both companion lcms divide pair_lcm, so each companion sorts before
-    (i, j) in the heap order unless its lcm has the same degree (then it
-    is pair_lcm) and its indices come after (i, j).  A companion sorting
-    before (i, j) was queued no later than it and has been handled; one
-    sorting after it is still queued, since every pair whose indices
-    come after (i, j) was queued no earlier than (i, j).  Coprime pairs,
-    which never enter the heap, count as queued by the same rule.
+    Both companion lcms divide L, so each companion sorts before (i, j)
+    in the heap order unless its lcm is L and its indices come after
+    (i, j).  A companion sorting before (i, j) was queued no later than
+    it and has been handled; one sorting after it is still queued, since
+    every pair whose indices come after (i, j) was queued no earlier
+    than (i, j).  Coprime pairs, which never enter the heap, count as
+    queued by the same rule.  The test runs on packed ints alone: when
+    leading monomials a and b divide L, their lcm is L exactly when the
+    cofactors L - a and L - b share no variable.
     """
-    lt_i, lt_j = leads[i][1], leads[j][1]
-    for k, (packed, lt, _) in enumerate(leads):
-        if k == i or k == j or (pair_lcm - packed) & guard:
+    cof_i, cof_j = _supports((pair_lcm - leads[i][0], pair_lcm - leads[j][0]), guard)
+    for k, (lt, _, _) in enumerate(leads):
+        cofactor = pair_lcm - lt
+        if k == i or k == j or cofactor & guard:
             continue
         if k < i:
             return True  # (k, i) and (k, j) both sort before (i, j)
-        if k > j and sum(map(max, lt_i, lt)) == degree:
+        (cof_k,) = _supports((cofactor,), guard)
+        if k > j and not cof_k & cof_i:
             continue  # (i, k) is still queued
-        if sum(map(max, lt_j, lt)) != degree:
+        if cof_k & cof_j:
             return True
     return False
 
@@ -531,9 +522,10 @@ def _lead_ideal(gb: GroebnerBasis) -> tuple[list[int], tuple[int, ...], int]:
     return leads, weights[:gb.n + 1 if gb.uses_t else gb.n], _guard(gb.n + 1)
 
 
-def _supports(monomials: list[int], guard: int) -> list[int]:
-    """The guard bits of the nonzero fields of each packed monomial:
-    adding MAX_EXPONENT to a field sets its guard bit iff it is nonzero."""
+def _supports(monomials: Iterable[int], guard: int) -> list[int]:
+    """The variables of each packed monomial, as the guard bits of its
+    nonzero fields: adding MAX_EXPONENT to a field sets its guard bit iff
+    it is nonzero."""
     fill = (guard >> FIELD_BITS - 1) * MAX_EXPONENT
     return [(m + fill) & guard for m in monomials]
 
@@ -650,9 +642,9 @@ def _hilbert_numerator(gens: list[int], units: tuple[int, ...], guard: int) -> l
     mixed = [z for z in nonzero if z & (z - 1)]
     if not mixed:
         out = [1]
-        for g, z in zip(gens, nonzero):
-            # a pure power's degree is its one nonzero field, under guard bit z
-            out = _mul_one_minus_power(out, g >> z.bit_length() - FIELD_BITS & MAX_EXPONENT)
+        low = guard.bit_length()  # FIELD_BITS * nvars: the degree sits above
+        for g in gens:
+            out = _mul_one_minus_power(out, -(g >> low))
         return out
     counts = [sum(z >> shift & 1 for z in mixed)
               for shift in range(FIELD_BITS - 1, FIELD_BITS * m, FIELD_BITS)]

@@ -69,8 +69,8 @@ class Polynomial:
                 raise InvalidArgumentError(
                     f"monomial {exps} has {len(exps)} exponents, expected {width} (x_1..x_{n}, t)"
                 )
-            if any((not isinstance(e, int)) or e < 0 for e in exps):
-                raise InvalidArgumentError(f"exponents must be non-negative integers, got {exps}")
+            for e in exps:
+                check_int(e, "exponent", 0)
             c = clean.get(exps, _ZERO) + _coerce_scalar(coef)
             if c:
                 clean[exps] = c

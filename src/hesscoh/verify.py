@@ -32,6 +32,7 @@ broken even if everything else is green.
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -748,14 +749,17 @@ def run_suite(
 ) -> VerificationReport:
     """Run the named checks (or all of them) and collect a report.
 
-    Unknown or repeated names, an empty list, an n_max, groebner_n_max or
-    jobs below 1, a negative pair_budget and a selected check whose sweep
-    has no task (peterson starts at n = 2) are refused with
-    InvalidArgumentError, and a sweep past a cap with ResourceLimitError,
-    before any check runs.
+    A bare name other than "all", unknown or repeated names, an empty
+    list, an n_max, groebner_n_max or jobs below 1, a negative
+    pair_budget and a selected check whose sweep has no task (peterson
+    starts at n = 2) are refused with InvalidArgumentError, and a sweep
+    past a cap with ResourceLimitError, before any check runs.
+    With jobs > 1 the pool starts min(jobs, tasks, CPUs) workers.
     Results come back in a deterministic order regardless of jobs; only
     the elapsed fields vary between runs.
     """
+    if isinstance(names, str) and names != "all":
+        raise InvalidArgumentError(f"names must be 'all' or a list of check names, got {names!r}")
     selected = list(CHECK_NAMES if names == "all" else names)
     unknown = [name for name in selected if name not in _CHECKS]
     if unknown:
@@ -788,7 +792,8 @@ def run_suite(
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            workers = min(jobs, len(tasks), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for batch in pool.map(partial(_execute_task, options), tasks):
                     results.extend(batch)
         except BrokenProcessPool as exc:

@@ -54,6 +54,7 @@ H233 = HessenbergFunction((2, 3, 3))
 ENTRY_POINTS = [
     ("Polynomial-n", lambda v: Polynomial(v), 1, None),
     ("Polynomial-pow", lambda v: x_var(1, 2) ** v, 0, None),
+    ("Polynomial-exponent", lambda v: Polynomial(2, {(v, 0, 0): 1}), 0, None),
     ("substitute-x", lambda v: x_var(1, 2).substitute({v: 0}), 1, 2),
     ("x_var-k", lambda v: x_var(v, 2), 1, 2),
     ("x_var-n", lambda v: x_var(1, v), 1, None),
@@ -118,6 +119,8 @@ def test_integer_arguments_are_refused_through_check_int(call, value, message):
     pytest.param(lambda: run_suite(["example-n4", "example-n4"]),
                  "repeated check(s): example-n4", id="repeated"),
     pytest.param(lambda: run_suite([]), "empty suite: name at least one check", id="empty-suite"),
+    pytest.param(lambda: run_suite("peterson"),
+                 "names must be 'all' or a list of check names, got 'peterson'", id="bare-name"),
     pytest.param(lambda: buchberger([]), "buchberger needs at least one generator",
                  id="buchberger-empty"),
     pytest.param(lambda: normal_form(x_var(1, 2), []), "normal_form needs a nonempty basis",

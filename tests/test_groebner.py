@@ -33,7 +33,6 @@ from hesscoh.groebner import (
     GroebnerBasis,
     GroebnerStats,
     _guard,
-    _heap_weights,
     _hilbert_numerator,
     _integer_terms,
     _minimalize,
@@ -43,6 +42,7 @@ from hesscoh.groebner import (
     _poly_add,
     _reduce,
     _reducer_table,
+    _supports,
     _unpack,
     buchberger,
     hilbert_series,
@@ -324,6 +324,16 @@ def test_order_key_frozen_comparisons():
 # -- packed monomials -----------------------------------------------------------
 
 
+def _heap_weights(nvars):
+    """The reference order: the base-32768 heap key the packed layout once
+    carried above its fields as a second copy of the exponents.  The key
+    reads (-degree, the exponents in reverse) as one number in base
+    B = MAX_EXPONENT + 1, so variable v weighs B**v - B**nvars; a smaller
+    key is a larger monomial."""
+    base = MAX_EXPONENT + 1
+    return tuple(base ** v - base ** nvars for v in range(nvars))
+
+
 def _heap_key(exponents):
     return sum(w * e for w, e in zip(_heap_weights(len(exponents)), exponents))
 
@@ -362,7 +372,9 @@ def _ref_unpack(m, nvars):
 def test_pack_unpack_round_trip(monomials):
     (m,) = monomials
     packed = _pack(m, _pack_weights(len(m)))
-    assert (packed < 0) == any(m)  # the heap key above the fields is negative
+    # minus the degree sits above the fields
+    assert -(packed >> FIELD_BITS * len(m)) == sum(m)
+    assert (packed < 0) == any(m)
     assert _unpack(packed, len(m)) == _ref_unpack(packed, len(m)) == m
 
 
@@ -394,6 +406,30 @@ def test_packed_divisibility_agrees_with_divides(monomials):
     for small, big in ((a, b), (b, a), (a, multiple), (multiple, a)):
         packed = not (_pack(big, weights) - _pack(small, weights)) & guard
         assert packed == _div(small, big)
+
+
+@st.composite
+def _two_divisors(draw):
+    """(a, b, L) with a and b dividing L; L is their lcm times a cofactor
+    that is 1 half the time."""
+    a, b, extra = draw(_monomial_lists(3, top=MAX_EXPONENT // 2))
+    if draw(st.booleans()):
+        extra = (0,) * len(a)
+    return a, b, tuple(max(x, y) + z for x, y, z in zip(a, b, extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_divisors())
+@example(((1, 0), (0, 1), (1, 1)))
+@example(((1, 0), (1, 0), (1, 1)))
+@example(((0,), (0,), (0,)))
+def test_cofactor_test_reads_whether_two_divisors_have_lcm_l(case):
+    # _chain_criterion's rule: lcm(a, b) = L iff L - a and L - b share no variable
+    a, b, big = case
+    weights, guard = _pack_weights(len(a)), _guard(len(a))
+    packed = _pack(big, weights)
+    cof_a, cof_b = _supports((packed - _pack(a, weights), packed - _pack(b, weights)), guard)
+    assert (not cof_a & cof_b) == (sum(map(max, a, b)) == sum(big))
 
 
 def test_exponent_past_the_packed_field_is_refused():

@@ -511,6 +511,40 @@ def test_run_suite_parallel_matches_serial():
     assert serial.to_dict(include_timing=False) == parallel.to_dict(include_timing=False)
 
 
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (10_000, 2, 2),  # capped by the CPUs
+    (10_000, 64, 6),  # capped by the six tasks
+    (3, 64, 3),
+    (10_000, None, 1),  # the CPU count is unknown
+])
+def test_run_suite_starts_no_more_workers_than_tasks_or_cpus(monkeypatch, jobs, cpus, workers):
+    # the pool forks all its workers at the first submit, so their number
+    # is read off a stand-in that runs every task in this process
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
+    report = run_suite(["closed-form", "t-zero"], n_max=3, jobs=jobs)
+    assert started == [workers]
+    serial = run_suite(["closed-form", "t-zero"], n_max=3)
+    assert report.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
+
+
 def test_report_rendering():
     passing = check_example_n4()
     failing = CheckResult(
