@@ -206,41 +206,30 @@ class Polynomial:
     def substitute(self, x: Mapping[int, "Polynomial | Scalar"] | None = None,
                    t: "Polynomial | Scalar | None" = None) -> "Polynomial":
         """Ring homomorphism sending x_k (1-based keys of x) and/or t to
-        the given values; unassigned variables map to themselves.
+        the given values.  Unassigned variables map to themselves: their
+        exponents are carried through each term unchanged.  Each power of
+        an assigned value is built once per call.
         """
         n = self.n
-        assigns: dict[int, Polynomial] = {}
+        images: dict[int, Polynomial] = {}
         if x:
             for k, value in x.items():
-                assigns[check_int(k, "x index", 1, n) - 1] = _as_polynomial(value, n)
+                images[check_int(k, "x index", 1, n) - 1] = _as_polynomial(value, n)
         if t is not None:
-            assigns[n] = _as_polynomial(t, n)
-        if not assigns:
+            images[n] = _as_polynomial(t, n)
+        if not images:
             return self
 
-        width = n + 1
-        power_cache: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-
-        def var_power(i: int, e: int) -> dict[Monomial, Fraction]:
-            got = power_cache.get((i, e))
-            if got is None:
-                base = assigns.get(i)
-                if base is None:
-                    exps = [0] * width
-                    exps[i] = e
-                    got = {tuple(exps): _ONE}
-                else:
-                    got = (base ** e)._terms
-                power_cache[(i, e)] = got
-            return got
-
+        powers: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
         total: dict[Monomial, Fraction] = {}
-        unit = (0,) * width
         for exps, coef in self._terms.items():
-            current = {unit: coef}
-            for i, e in enumerate(exps):
+            current = {tuple(0 if i in images else e for i, e in enumerate(exps)): coef}
+            for i, image in images.items():
+                e = exps[i]
                 if e:
-                    current = _mul_terms(current, var_power(i, e))
+                    if (i, e) not in powers:
+                        powers[(i, e)] = (image ** e)._terms
+                    current = _mul_terms(current, powers[(i, e)])
             for key, c in current.items():
                 c = total.get(key, _ZERO) + c
                 if c:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import combinations, islice
@@ -372,18 +372,23 @@ def _localization_witness(h: HessenbergFunction, points) -> dict | None:
     return None
 
 
+def _permutation_row(h: HessenbergFunction, witness_of) -> tuple[dict, dict | None]:
+    """A permutation check's row: witness_of(h, fixed_points(h)); fixedPoints on a pass."""
+    points = fixed_points(h)
+    scope = _h_scope(h.values)
+    witness = witness_of(h, points)
+    if witness is None:
+        scope["fixedPoints"] = len(points)
+    return scope, witness
+
+
 @_check("localization")
 def check_localization_vanishing(h: HessenbergFunction):
     """Every generator of I(h) dies at every S^1-fixed point of Hess(h), and
     there are prod_j (h(j) - j + 1) of them: the Euler characteristic,
     by Tymoczko's affine paving, i.e. the Poincare polynomial at q = 1.
     After the count, a stray or repeated point (_stray_witness) fails."""
-    points = fixed_points(h)
-    scope = _h_scope(h.values)
-    witness = _localization_witness(h, points)
-    if witness is None:
-        scope["fixedPoints"] = len(points)
-    return scope, witness
+    return _permutation_row(h, _localization_witness)
 
 
 def _exactness_witness(h: HessenbergFunction, points,
@@ -418,12 +423,7 @@ def check_fixed_point_exactness(h: HessenbergFunction):
     A sweep to n <= 7 leaves 1.9 MB held (tracemalloc): the table of S_n
     (1.1 MB, shared with fixed_points), the 84 zero sets (21 KB), and the
     generators and integer terms it shares with the localization sweep."""
-    points = fixed_points(h)
-    scope = _h_scope(h.values)
-    witness = _exactness_witness(h, points)
-    if witness is None:
-        scope["fixedPoints"] = len(points)
-    return scope, witness
+    return _permutation_row(h, _exactness_witness)
 
 
 # -- Groebner-backed checks ----------------------------------------------
@@ -749,18 +749,21 @@ def run_suite(
 ) -> VerificationReport:
     """Run the named checks (or all of them) and collect a report.
 
-    A bare name other than "all", unknown or repeated names, an empty
-    list, an n_max, groebner_n_max or jobs below 1, a negative
-    pair_budget and a selected check whose sweep has no task (peterson
-    starts at n = 2) are refused with InvalidArgumentError, and a sweep
-    past a cap with ResourceLimitError, before any check runs.
+    names that are neither "all" nor an iterable of str (checked
+    first), unknown or repeated names, an empty list, an n_max,
+    groebner_n_max or jobs below 1, a negative pair_budget and a
+    selected check whose sweep has no task (peterson starts at n = 2)
+    are refused with InvalidArgumentError, and a sweep past a cap with
+    ResourceLimitError, before any check runs.
     With jobs > 1 the pool starts min(jobs, tasks, CPUs) workers.
     Results come back in a deterministic order regardless of jobs; only
     the elapsed fields vary between runs.
     """
-    if isinstance(names, str) and names != "all":
+    selected = list(CHECK_NAMES) if names == "all" else None
+    if isinstance(names, Iterable) and not isinstance(names, (str, bytes)):
+        selected = list(names)
+    if selected is None or not all(isinstance(name, str) for name in selected):
         raise InvalidArgumentError(f"names must be 'all' or a list of check names, got {names!r}")
-    selected = list(CHECK_NAMES if names == "all" else names)
     unknown = [name for name in selected if name not in _CHECKS]
     if unknown:
         raise InvalidArgumentError(

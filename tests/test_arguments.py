@@ -121,6 +121,15 @@ def test_integer_arguments_are_refused_through_check_int(call, value, message):
     pytest.param(lambda: run_suite([]), "empty suite: name at least one check", id="empty-suite"),
     pytest.param(lambda: run_suite("peterson"),
                  "names must be 'all' or a list of check names, got 'peterson'", id="bare-name"),
+    pytest.param(lambda: run_suite(5), "names must be 'all' or a list of check names, got 5",
+                 id="names-int"),
+    pytest.param(lambda: run_suite(None), "names must be 'all' or a list of check names, got None",
+                 id="names-none"),
+    pytest.param(lambda: run_suite(b"peterson"),
+                 "names must be 'all' or a list of check names, got b'peterson'", id="names-bytes"),
+    pytest.param(lambda: run_suite(["example-n4", 3]),
+                 "names must be 'all' or a list of check names, got ['example-n4', 3]",
+                 id="names-non-str-item"),
     pytest.param(lambda: buchberger([]), "buchberger needs at least one generator",
                  id="buchberger-empty"),
     pytest.param(lambda: normal_form(x_var(1, 2), []), "normal_form needs a nonempty basis",

@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesscoh.errors import DimensionMismatchError
+from hesscoh.errors import DimensionMismatchError, check_int
+from hesscoh.generators import generator_matrix
+from hesscoh.hessenberg import fixed_points, peterson_function
 from hesscoh.polyring import (
     Polynomial,
+    _as_polynomial,
+    _mul_terms,
     canonical_key,
     constant,
     elementary_symmetric,
@@ -276,3 +280,77 @@ def test_evaluate_sums_the_terms_at_the_point(p, point):
             coef *= value ** e
         want += coef
     assert p.evaluate(point) == want
+
+
+def _substitute_reference(p: Polynomial, x=None, t=None) -> Polynomial:
+    """Polynomial.substitute as it was before it skipped unassigned
+    variables: every variable of every term is multiplied back in, an
+    unassigned one as its own one-term power."""
+    n = p.n
+    assigns: dict[int, Polynomial] = {}
+    if x:
+        for k, value in x.items():
+            assigns[check_int(k, "x index", 1, n) - 1] = _as_polynomial(value, n)
+    if t is not None:
+        assigns[n] = _as_polynomial(t, n)
+    if not assigns:
+        return p
+
+    width = n + 1
+    power_cache: dict[tuple[int, int], dict] = {}
+
+    def var_power(i: int, e: int) -> dict:
+        got = power_cache.get((i, e))
+        if got is None:
+            base = assigns.get(i)
+            if base is None:
+                exps = [0] * width
+                exps[i] = e
+                got = {tuple(exps): Fraction(1)}
+            else:
+                got = (base ** e).terms
+            power_cache[(i, e)] = got
+        return got
+
+    total: dict = {}
+    unit = (0,) * width
+    for exps, coef in p.terms.items():
+        current = {unit: coef}
+        for i, e in enumerate(exps):
+            if e:
+                current = _mul_terms(current, var_power(i, e))
+        for key, c in current.items():
+            c = total.get(key, Fraction(0)) + c
+            if c:
+                total[key] = c
+            else:
+                total.pop(key, None)
+    return Polynomial(n, total)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_substitute_matches_reference_on_the_generators(n):
+    # t -> 0 and t -> 1 as the t-zero check and its control use them, and the
+    # localization map x_k -> w(k) t at each fixed point of the Peterson variety
+    t = t_var(n)
+    maps = [(None, 0), (None, 1)] + [({k: v * t for k, v in enumerate(w, 1)}, None)
+                                     for w in fixed_points(peterson_function(n))]
+    for _, _, f in generator_matrix(n).entries:
+        for x, at_t in maps:
+            assert f.substitute(x, t=at_t) == _substitute_reference(f, x, t=at_t)
+
+
+def _images(n: int):
+    """A value for substitute: a scalar or a polynomial of up to 3 terms."""
+    return st.one_of(_bounded_fraction(), _polys(n, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _polys(n, max_size=6),
+    st.dictionaries(st.integers(1, n), _images(n), max_size=n),
+    st.one_of(st.none(), _images(n)),
+)))
+def test_substitute_matches_reference_on_random_images(case):
+    p, x, t = case
+    assert p.substitute(x, t=t) == _substitute_reference(p, x, t=t)

@@ -6,9 +6,11 @@ default suite in both formats, the two permutation sweeps past their
 default scale (exactness is n <= 5 by default, here n <= 6), the
 exactness sweep at the permutation cap, n <= 7, and the Groebner-backed
 checks one past their default top (peterson and hilbert to n <= 5,
-flag-borel to n <= 7 with its Groebner parts to n <= 5).  A refactor
-of the checks, the registry or the suite driver must reproduce them byte
-for byte.  To re-record after an intended output change:
+flag-borel to n <= 7 with its Groebner parts to n <= 5), and the
+t -> 0 sweep with its control to n <= 8, which runs `substitute` on
+every f_{i,j} past the default scale.  A refactor of the checks, the
+registry, the suite driver or the polynomial layer must reproduce them
+byte for byte.  To re-record after an intended output change:
 
     PYTHONPATH=src python -c "import tests.test_verify_golden as g; g.record()"
 """
@@ -31,6 +33,7 @@ FORMATS = ("json", "text")
 SWEEPS_N6 = "permutation-sweeps-n6-json"
 EXACTNESS_N7 = "fixed-point-exactness-n7-json"
 GROEBNER_G5 = "groebner-backed-g5-json"
+T_ZERO_N8 = "t-zero-sweep-n8-json"
 
 RUNS = {
     **{fmt: ["verify", "--format", fmt, "--no-timing"] for fmt in FORMATS},
@@ -40,6 +43,8 @@ RUNS = {
                    "--format", "json", "--no-timing"],
     GROEBNER_G5: ["verify", "--suite", "peterson,flag-borel,hilbert", "--groebner-n-max", "5",
                   "--n-max", "7", "--format", "json", "--no-timing"],
+    T_ZERO_N8: ["verify", "--suite", "closed-form,t-zero,negative-controls", "--n-max", "8",
+                "--format", "json", "--no-timing"],
 }
 
 
@@ -73,3 +78,7 @@ def test_exactness_sweep_to_n7_matches_recording():
 
 def test_groebner_backed_checks_to_g5_match_recording():
     assert digest(GROEBNER_G5) == recorded(GROEBNER_G5)
+
+
+def test_t_zero_sweep_to_n8_matches_recording():
+    assert digest(T_ZERO_N8) == recorded(T_ZERO_N8)
