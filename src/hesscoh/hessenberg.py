@@ -8,7 +8,8 @@ permutation w has a Hessenberg function m_w, and w is fixed in Hess(h)
 exactly when m_w <= h pointwise; so S_n is split once per n into the
 Catalan(n) classes of equal m_w, and `fixed_points` takes the union of
 the classes below h; the same table of S_n also ranks it for
-`permutation_ranks`.  An independent oracle literally tests N-stability
+`permutation_ranks`.  Each table is built on first use and kept for the
+life of the process (a functools cache keyed on n).  An independent oracle literally tests N-stability
 of the coordinate flag for the regular nilpotent matrix N with
 N e_1 = 0, N e_m = e_{m-1}.
 """
@@ -16,6 +17,7 @@ N e_1 = 0, N e_m = e_{m-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .errors import InvalidArgumentError, InvalidHessenbergError, ResourceLimitError, check_int
@@ -115,7 +117,7 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
     is itself a Hessenberg function.  So S_n splits into Catalan(n)
     classes C_g = {w : m_w = g}, and the fixed points of h are the union
     of the classes C_g with g <= h, sorted, read from the table of S_n
-    (_symmetric_group, 1.1 MB held for all n <= 7).
+    (_symmetric_group), which is built once per n.
     """
     check_int(cap, "cap", 1)
     n = h.n
@@ -125,7 +127,7 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
         )
     outside = ~_cells(h.values)
     out: list[Permutation] = []
-    for _, cells, members in _split_by_class(n):
+    for _, cells, members in _symmetric_group(n)[1]:
         if not cells & outside:  # g <= h pointwise
             out += members
     out.sort()
@@ -135,47 +137,33 @@ def fixed_points(h: HessenbergFunction, cap: int = DEFAULT_PERMUTATION_CAP) -> l
 def permutation_ranks(n: int) -> dict[Permutation, int]:
     """Each w in S_n mapped to its 0-based rank in lexicographic
     (itertools.permutations) order; iterating the dict gives S_n in that
-    order.  Read from the table of S_n (_symmetric_group, 1.1 MB held for
-    all n <= 7)."""
+    order.  Read from the table of S_n (_symmetric_group), so the same
+    dict is returned on every call."""
     return _symmetric_group(n)[0]
 
 
-def _split_by_class(n: int) -> list[tuple[Permutation, int, list[Permutation]]]:
-    """One (g, _cells(g), C_g) per class of S_n; each C_g in lexicographic
-    order.  Read from the table of S_n."""
-    return _symmetric_group(n)[1]
-
-
-# n -> (ranks, classes) of S_n, built by _symmetric_group on first use
-_S_N: dict[int, tuple] = {}
-
-
+@cache
 def _symmetric_group(n: int) -> tuple:
     """The table of S_n: the ranks {w: rank} in lexicographic order and the
-    Catalan(n) classes (g, _cells(g), C_g) of equal m_w, whose members are
-    the rank dict's own keys, so each permutation is one tuple.  Built once
-    per n, on first use, and kept for n <= DEFAULT_PERMUTATION_CAP: 0.19 MB
-    for all n <= 6 and 0.92 MB more at n = 7 (tracemalloc).  A larger n
-    (with a raised cap) is built for the one call only.
+    Catalan(n) classes (g, _cells(g), C_g) of equal m_w, each C_g in
+    lexicographic order and made of the rank dict's own keys, so each
+    permutation is one tuple.  Built once per n, on first use, and kept
+    for the life of the process: 0.19 MB for all n <= 6, 0.92 MB more at
+    n = 7 and 7.0 MB more at n = 8 (tracemalloc).
     """
-    table = _S_N.get(n)
-    if table is None:
-        ranks = {w: k for k, w in enumerate(permutations(range(1, n + 1)))}
-        classes: dict[Permutation, list[Permutation]] = {}
-        position = [0] * (n + 1)  # position[v] of value v in w; position[0] stays 0
-        for w in ranks:
-            for j, v in enumerate(w, start=1):
-                position[v] = j
-            top = 0
-            key = []
-            for j, v in enumerate(w, start=1):
-                top = max(top, j, position[v - 1])
-                key.append(top)
-            classes.setdefault(tuple(key), []).append(w)
-        table = ranks, [(g, _cells(g), members) for g, members in classes.items()]
-        if n <= DEFAULT_PERMUTATION_CAP:
-            _S_N[n] = table
-    return table
+    ranks = {w: k for k, w in enumerate(permutations(range(1, n + 1)))}
+    classes: dict[Permutation, list[Permutation]] = {}
+    position = [0] * (n + 1)  # position[v] of value v in w; position[0] stays 0
+    for w in ranks:
+        for j, v in enumerate(w, start=1):
+            position[v] = j
+        top = 0
+        key = []
+        for j, v in enumerate(w, start=1):
+            top = max(top, j, position[v - 1])
+            key.append(top)
+        classes.setdefault(tuple(key), []).append(w)
+    return ranks, [(g, _cells(g), members) for g, members in classes.items()]
 
 
 def _cells(values) -> int:

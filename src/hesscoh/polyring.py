@@ -52,11 +52,12 @@ class Polynomial:
 
     Construct via the module helpers (x_var, t_var, constant, ...) or by
     passing a term mapping.  Instances are immutable; all operators
-    return new polynomials.  Mixing values with different ambient n
-    raises DimensionMismatchError.
+    return new polynomials.  They hash by value, so equal polynomials
+    share a dict key or a functools cache entry.  Mixing values with
+    different ambient n raises DimensionMismatchError.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         check_int(n, "n", 1)
@@ -139,7 +140,16 @@ class Polynomial:
             return self._terms == {(0,) * (self.n + 1): c}
         return NotImplemented
 
-    __hash__ = None  # mutable-looking value type; never used as a dict key
+    def __hash__(self) -> int:
+        """A value hash, computed on first use and kept: equal polynomials
+        hash alike, and a constant (0 included) hashes like its scalar."""
+        try:
+            return self._hash
+        except AttributeError:
+            unit = (0,) * (self.n + 1)
+            terms = self._terms
+            self._hash = hash(terms.get(unit, 0) if terms.keys() <= {unit} else frozenset(terms.items()))
+            return self._hash
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

@@ -3,16 +3,13 @@
 Every check returns a CheckResult whose witness pinpoints the first
 failure (indices, permutation, residue polynomial) so a red result is
 actionable.  run_suite sweeps each check over every n, or every
-Hessenberg function h of each n, up to the check's own top.  In process
-the default suite's checks took 0.41-0.65 s (12 fresh interpreters on a
-2-core Linux host, Python 3.11.7; the time swings with the host's load),
-and in the median the localization sweep took ~79 %, the exactness sweep
-~1.6 % (0.006-0.011 s) and the seven other checks ~20 % together.  Both
-permutation sweeps read the generators' integer terms from one table,
-converted once per process; exactness also reads each generator's zero
-set over S_n there, computed once per process.  The Groebner-backed
-checks compute every basis they compare on each run and read none from
-disk, so their rows test the engine itself.
+Hessenberg function h of each n, up to the check's own top; the
+localization sweep takes most of the default suite's time.  Both
+permutation sweeps read each generator's integer terms from a
+functools cache keyed on the polynomial's value, converted once per
+process; exactness also reads each generator's cached zero set over S_n.
+The Groebner-backed checks compute every basis they compare on each run
+and read none from disk, so their rows test the engine itself.
 One ordered registry, _CHECKS, maps each check name to its runner, its
 crash-row scope, its negative control and its sweep: what it sweeps, its
 default top, the run_suite bound that replaces that top and its first n.
@@ -36,13 +33,14 @@ import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import cache, partial, wraps
 from itertools import combinations, islice
 from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, ResourceLimitError, WorkerCrashError, check_int
 from .generators import (
+    delta,
     f_closed,
     f_inductive,
     f_ordinary,
@@ -242,12 +240,9 @@ def check_t_zero_at(n: int):
         lambda i, j: f_ordinary(i, j, n))
 
 
-_INTEGER_TERMS: dict[int, list] = {}
-
-
-def _integer_entries(generators) -> list[list]:
-    """Each generator's _INTEGER_TERMS entry [g, (weight d, [(c, x
-    indices), ...]), zero set or None]: one term per pair, with each
+@cache
+def _integer_generator(g: Polynomial) -> tuple[int, list[tuple[int, bytes]]]:
+    """g as (weight d, [(c, x indices), ...]): one term per pair, with each
     0-based x index repeated as often as its exponent.  Bytes, not tuples:
     freed small tuples stay on CPython's free lists, which raised the peak
     RSS of a sweep by ~0.4 MB.
@@ -255,56 +250,37 @@ def _integer_entries(generators) -> list[list]:
     A homogeneous generator g of weight d maps under x_k -> w(k) t to
     g(w(1), ..., w(n), 1) t^d, so with integer coefficients its image is
     integer arithmetic on these term lists.  Any other generator is
-    refused with InvalidArgumentError, on every call.
-
-    Each entry is kept for the life of the process in _INTEGER_TERMS,
-    filled on first use and keyed on id(g) with g itself held in the
-    entry, so the id cannot pass to another polynomial: a fresh or altered
-    polynomial is converted afresh, never given another one's terms or
-    zero set.  The entries are shared; callers only read them, except
-    _zero_sets, which fills the zero set on first use.  ideal_generators
-    returns the memoized f_{i,j}, so the checks add at most one entry per
-    f_{i,j} with n at most the largest n swept: n(n+1)(n+2)/6 in all, 56
-    for n <= 6 and 84 for n <= 7.  Any other caller adds one entry per new
-    polynomial.
+    refused with InvalidArgumentError, on every call (a raise is not
+    cached).  Kept for the life of the process, keyed on g's value: equal
+    polynomials share one entry, which callers only read, and an altered
+    one gets its own.  The checks add one entry per f_{i,j} with n at most the largest n swept,
+    n(n+1)(n+2)/6 in all: 56 for n <= 6 and 84 for n <= 7.
     """
-    out = []
-    for g in generators:
-        entry = _INTEGER_TERMS.get(id(g))
-        if entry is None:
-            if not g.is_homogeneous():
-                raise InvalidArgumentError(f"generator {g} is not homogeneous")
-            terms = []
-            for exps, c in g.terms.items():
-                if c.denominator != 1:
-                    raise InvalidArgumentError(f"generator {g} has the non-integer coefficient {c}")
-                terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
-            entry = _INTEGER_TERMS[id(g)] = [g, (g.total_degree(), terms), None]
-        out.append(entry)
-    return out
+    if not g.is_homogeneous():
+        raise InvalidArgumentError(f"generator {g} is not homogeneous")
+    terms = []
+    for exps, c in g.terms.items():
+        if c.denominator != 1:
+            raise InvalidArgumentError(f"generator {g} has the non-integer coefficient {c}")
+        terms.append((c.numerator, bytes(i for i, e in enumerate(exps[:-1]) for _ in range(e))))
+    return g.total_degree(), terms
 
 
 def _integer_generators(generators) -> list[tuple[int, list[tuple[int, bytes]]]]:
-    """Each generator as (weight d, [(c, x indices), ...]), read from its
-    _INTEGER_TERMS entry."""
-    return [entry[1] for entry in _integer_entries(generators)]
+    """Each generator's _integer_generator form."""
+    return [_integer_generator(g) for g in generators]
 
 
-def _zero_sets(generators) -> list[int]:
-    """Each generator's zero set over S_n, n its number of x variables: an
-    int whose bit k is set when _surviving finds that the generator
-    vanishes at the k-th permutation in lexicographic order
-    (permutation_ranks).  Computed once per generator, on first use, and
-    kept in its _INTEGER_TERMS entry: the 84 f_{i,j} with n <= 7 hold
-    21 KB of zero sets."""
-    out = []
-    for entry in _integer_entries(generators):
-        if entry[2] is None:
-            single = [entry[1]]
-            ranks = permutation_ranks(entry[0].n)
-            entry[2] = _mask((w for w in ranks if _surviving(w, single) is None), ranks)
-        out.append(entry[2])
-    return out
+@cache
+def _zero_set(g: Polynomial) -> int:
+    """g's zero set over S_n, n its number of x variables: an int whose bit
+    k is set when _surviving finds that g vanishes at the k-th permutation
+    in lexicographic order (permutation_ranks).  Kept for the life of the
+    process, keyed on g's value: the 84 f_{i,j} with n <= 7 hold 21 KB of
+    zero sets."""
+    single = [_integer_generator(g)]
+    ranks = permutation_ranks(g.n)
+    return _mask((w for w in ranks if _surviving(w, single) is None), ranks)
 
 
 def _mask(points, ranks) -> int:
@@ -405,8 +381,8 @@ def _exactness_witness(h: HessenbergFunction, points,
         return stray
     generators = ideal_generators(h, "equivariant").generators
     vanishing = (1 << len(ranks)) - 1
-    for zeros in _zero_sets(generators):
-        vanishing &= zeros
+    for g in generators:
+        vanishing &= _zero_set(g)
     disagree = vanishing ^ _mask(points, ranks)
     if not disagree:
         return None
@@ -592,8 +568,6 @@ def _control_closed_form():
 
 
 def _ladder_missing_first_column(i, j, n):
-    from .generators import delta
-
     acc = Polynomial(n)
     for k in range(2, j + 1):
         acc = acc + delta(i - j + k, k, n)

@@ -7,10 +7,11 @@ from math import comb
 
 import pytest
 
+import hesscoh.hessenberg as hessenberg_module
 from hesscoh.errors import InvalidHessenbergError, ResourceLimitError
 from hesscoh.hessenberg import (
     HessenbergFunction,
-    _split_by_class,
+    _symmetric_group,
     enumerate_all,
     fixed_points,
     flag_function,
@@ -134,6 +135,18 @@ def test_fixed_points_cap():
     assert len(fixed_points(flag_function(8), cap=8)) == 40320
 
 
+def test_each_table_of_s_n_is_built_once(monkeypatch):
+    # S_8, past the default cap, is kept once built, as every S_n is
+    assert permutation_ranks(8) is permutation_ranks(8)
+    built = []
+    monkeypatch.setattr(hessenberg_module, "permutations",
+                        lambda values: built.append(values) or permutations(values))
+    _symmetric_group.cache_clear()
+    h = peterson_function(8)
+    assert [len(fixed_points(h, cap=8)) for _ in range(3)] == [2 ** 7] * 3
+    assert len(built) == 1
+
+
 def test_peterson_fixed_point_counts():
     for n in range(1, 8):
         assert len(fixed_points(peterson_function(n))) == 2 ** (n - 1)
@@ -175,7 +188,7 @@ def m_w(w):
 
 def test_classes_partition_s_n_by_their_keys():
     for n in range(1, 7):
-        classes = _split_by_class(n)
+        classes = _symmetric_group(n)[1]
         members = [w for _, _, ws in classes for w in ws]
         assert sorted(members) == list(permutations(range(1, n + 1)))  # each w exactly once
         assert len(classes) == catalan(n)
@@ -190,5 +203,5 @@ def test_classes_and_ranks_hold_one_tuple_per_permutation():
         ranks = permutation_ranks(n)
         assert list(ranks.items()) == [(w, k) for k, w in enumerate(permutations(range(1, n + 1)))]
         keys = {w: w for w in ranks}  # each permutation -> the rank dict's own key
-        assert all(w is keys[w] for _, _, ws in _split_by_class(n) for w in ws)
+        assert all(w is keys[w] for _, _, ws in _symmetric_group(n)[1] for w in ws)
         assert all(w is keys[w] for w in fixed_points(flag_function(n)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -261,6 +262,24 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + zero(a.n) == a
     assert a * one(a.n) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_polys(n, max_size=6), _bounded_fraction())))
+def test_hash_follows_equality(case):
+    # equal values hash alike, whatever object or term order holds them; a
+    # constant, zero included, hashes like the scalar it equals
+    p, c = case
+    n = p.n
+    fresh = pickle.loads(pickle.dumps(p))  # pickled before p's hash is kept
+    copies = [Polynomial(n, list(p.terms.items())[::-1]), p * 1, p + zero(n), fresh]
+    for q in copies:
+        assert q == p and hash(q) == hash(p)
+    assert {p: "p"}[copies[0]] == "p"
+    kept = pickle.loads(pickle.dumps(p))  # pickled with its hash kept
+    assert kept == p and hash(kept) == hash(p)
+    assert hash(constant(c, n)) == hash(c) and {constant(c, n): "c"}[c] == "c"
+    assert hash(Polynomial(n)) == hash(0) == hash(p - p)
 
 
 @settings(max_examples=200, deadline=None)

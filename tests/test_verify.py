@@ -25,11 +25,12 @@ from hesscoh.verify import (
     check_localization_vanishing,
     check_peterson,
     check_t_zero_at,
+    _integer_generator,
     _integer_generators,
     _mask,
     _surviving,
     _vanishing_witness,
-    _zero_sets,
+    _zero_set,
     negative_controls,
     poincare_product,
     run_suite,
@@ -83,17 +84,17 @@ def _substitute_witness(h, w, generators):
     return None
 
 
-def test_vanishing_witness_matches_substitution(monkeypatch):
+def test_vanishing_witness_matches_substitution():
     # the kernel decides as the substitution route does, and its survivor
     # carries that route's generator index and residue, whether the integer
-    # terms are converted on the way (empty table) or read back (full table)
+    # terms are converted on the way (empty cache) or read back (full cache)
     triangle = [f_inductive(i, j, n) for n in range(1, 5)
                 for i in range(1, n + 1) for j in range(1, i + 1)]
     for full in (False, True):
-        monkeypatch.setattr(verify_module, "_INTEGER_TERMS", {})
+        _integer_generator.cache_clear()
         if full:
             _integer_generators(triangle)
-        assert len(verify_module._INTEGER_TERMS) == (len(triangle) if full else 0)
+        assert _integer_generator.cache_info().currsize == (len(triangle) if full else 0)
         for n in range(1, 5):
             t = t_var(n)
             for h in enumerate_all(n):
@@ -108,21 +109,32 @@ def test_vanishing_witness_matches_substitution(monkeypatch):
                         j, weight, value = survivor
                         assert j == reference["j"]
                         assert poly_to_dict(value * t ** weight) == reference["residue"]
-        assert len(verify_module._INTEGER_TERMS) == len(triangle)
+        assert _integer_generator.cache_info().currsize == len(triangle)
 
 
-def test_integer_terms_table_matches_a_fresh_conversion(monkeypatch):
-    # every f_{i,j} with n <= 7, read from the table, against the conversion
-    # of a copy: a new object, so the table cannot answer for it
-    monkeypatch.setattr(verify_module, "_INTEGER_TERMS", {})
+def test_integer_terms_table_matches_a_fresh_conversion():
+    # every f_{i,j} with n <= 7, read from the cache, against the uncached
+    # conversion of a copy: an equal copy would hit the cache, so bypass it
     for n in range(1, 8):
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 g = f_inductive(i, j, n)
-                _integer_generators([g])
+                cached = _integer_generator(g)
                 copy = Polynomial._raw(n, dict(g.terms))
-                assert _integer_generators([g]) == _integer_generators([copy])
-                assert verify_module._INTEGER_TERMS[id(g)][0] is g
+                assert cached == _integer_generator.__wrapped__(copy)
+                assert _integer_generators([g]) == [cached]
+
+
+def test_equal_generators_share_one_cached_form():
+    # a new object equal to a converted generator reads that generator's
+    # entries; no new entry is made for it
+    g = f_inductive(3, 2, 4)
+    integer, zeros = _integer_generator(g), _zero_set(g)
+    sizes = _integer_generator.cache_info().currsize, _zero_set.cache_info().currsize
+    copy = Polynomial(4, list(g.terms.items())[::-1])
+    assert copy is not g
+    assert _integer_generator(copy) is integer and _zero_set(copy) is zeros
+    assert (_integer_generator.cache_info().currsize, _zero_set.cache_info().currsize) == sizes
 
 
 def test_integer_generators_refuse_what_they_cannot_evaluate():
@@ -229,12 +241,12 @@ def test_zero_sets_hold_the_vanishing_permutations():
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 g = f_inductive(i, j, n)
-                [zeros] = _zero_sets([g])
+                zeros = _zero_set(g)
                 integer = _integer_generators([g])
                 assert zeros >> len(perms) == 0
                 assert {w for k, w in enumerate(perms) if zeros >> k & 1} == {
                     w for w in perms if _surviving(w, integer) is None}
-                assert verify_module._INTEGER_TERMS[id(g)][2] == zeros
+                assert _zero_set(g) is zeros
 
 
 @pytest.mark.parametrize("tamper, witness", [
